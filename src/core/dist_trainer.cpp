@@ -320,16 +320,12 @@ DistResult DistTrainer::run() {
     // (store_cache_snapshots < 0 resolves inside it) and, with
     // prefetch_depth > 0, stages announced batches on per-rank
     // background threads so only the exposed share of modeled fetch
-    // time is charged.
+    // time is charged.  The overlap split is classified when batches
+    // reach the consumer (the per-batch pipeline hook below).
     store.emplace(data::StandardDataset(raw, spec), cfg_.world, cluster.network(),
                   /*consolidate_requests=*/true, cfg_.store_cache_snapshots,
                   cfg_.store_cache_bytes,
                   /*async_prefetch=*/cfg_.prefetch_depth > 0);
-    // Prefetch workers fetch up to `depth` batches ahead of compute;
-    // the overlap split must be classified when batches reach the
-    // consumer (the per-batch pipeline hook), not when the worker
-    // assembles them.
-    if (cfg_.prefetch_depth > 0) store->set_delivery_driven_classification(true);
   } else if (cfg_.mode == DistMode::kGeneralizedIndex) {
     Tensor stage1 = data::add_time_feature(raw, spec, kHostSpace);
     global_scaler = data::fit_scaler(stage1, spec);

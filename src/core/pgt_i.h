@@ -29,3 +29,4 @@
 #include "dist/comm.h"
 #include "dist/ddp.h"
 #include "dist/dist_store.h"
+#include "dist/fetch_model.h"

@@ -46,12 +46,13 @@ class SnapshotProvider {
   virtual void abandon_prefetches(int rank) { (void)rank; }
 
   /// Tells the provider that `rank`'s consumer received one assembled
-  /// batch (called on the consumer thread, in delivery order).
-  /// Delivery-driven providers classify the overlap split of their
-  /// oldest consumed-but-unclassified announced request here: when a
-  /// prefetch worker assembles batches ahead of compute, the wall
-  /// window that really hides a transfer runs from its announcement to
-  /// the batch's *delivery*, not to the worker's (much earlier) need.
+  /// batch (called on the consumer thread, once per batch, in delivery
+  /// order).  Providers that overlap transfers with compute classify
+  /// the overlap split of their oldest consumed-but-unclassified
+  /// announced request here: when a prefetch worker assembles batches
+  /// ahead of compute, the wall window that really hides a transfer
+  /// runs from its announcement to the batch's *delivery*, not to the
+  /// worker's (much earlier) need.
   /// Default: ignore.
   virtual void notify_batch_delivered(int rank) { (void)rank; }
 

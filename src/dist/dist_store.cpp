@@ -1,6 +1,7 @@
 #include "dist/dist_store.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -13,45 +14,27 @@ std::int64_t spec_snapshot_bytes(const data::DatasetSpec& spec) {
          static_cast<std::int64_t>(sizeof(float));
 }
 
-}  // namespace
+/// A window no modeled time exceeds: the request was never waited on.
+constexpr double kNeverWaited = std::numeric_limits<double>::infinity();
 
-DistStore::DistStore(std::int64_t num_snapshots, std::int64_t snapshot_bytes,
-                     int world, NetworkModel network, bool consolidate_requests)
-    : num_snapshots_(num_snapshots),
-      snapshot_bytes_(snapshot_bytes),
-      world_(world),
-      network_(network),
-      consolidate_requests_(consolidate_requests) {
-  if (num_snapshots < 1) {
-    throw std::invalid_argument("DistStore: num_snapshots must be >= 1");
-  }
-  if (world < 1) throw std::invalid_argument("DistStore: world must be >= 1");
-  chunk_ = (num_snapshots + world - 1) / world;
-  ranks_.reserve(static_cast<std::size_t>(world));
-  for (int r = 0; r < world; ++r) ranks_.push_back(std::make_unique<RankState>());
-}
+}  // namespace
 
 DistStore::DistStore(data::StandardDataset dataset, int world, NetworkModel network,
                      bool consolidate_requests, std::int64_t cache_snapshots_per_rank,
                      std::int64_t cache_bytes_per_rank, bool async_prefetch)
-    : DistStore(dataset.num_snapshots(), spec_snapshot_bytes(dataset.spec()), world,
-                network, consolidate_requests) {
-  // The store owns its cache defaults: negative = auto, sized to a
-  // couple of batches of this dataset's spec (the lookahead working
-  // set) and never below the historical default.
-  cache_capacity_ = cache_snapshots_per_rank >= 0
-                        ? cache_snapshots_per_rank
-                        : std::max(kDefaultCacheSnapshots,
-                                   2 * dataset.spec().batch_size);
-  cache_bytes_capacity_ = std::max<std::int64_t>(0, cache_bytes_per_rank);
-  async_prefetch_ = async_prefetch;
-  dataset_.emplace(std::move(dataset));
-  if (async_prefetch_) {
-    for (int r = 0; r < world_; ++r) {
-      ranks_[static_cast<std::size_t>(r)]->stager =
-          std::thread([this, r] { stager_loop(r); });
-    }
-  }
+    : model_(dataset.num_snapshots(), spec_snapshot_bytes(dataset.spec()), world,
+             network, consolidate_requests),
+      dataset_(std::move(dataset)),
+      // The store owns its cache defaults: negative = auto, sized to a
+      // couple of batches of this dataset's spec (the lookahead working
+      // set) and never below the historical default.
+      cache_capacity_(cache_snapshots_per_rank >= 0
+                          ? cache_snapshots_per_rank
+                          : std::max(kDefaultCacheSnapshots,
+                                     2 * dataset_.spec().batch_size)),
+      cache_bytes_capacity_(std::max<std::int64_t>(0, cache_bytes_per_rank)),
+      async_prefetch_(async_prefetch) {
+  for (int r = 0; r < world; ++r) add_rank();
 }
 
 DistStore::~DistStore() {
@@ -65,44 +48,27 @@ DistStore::~DistStore() {
     rs.cv.notify_all();
     rs.stager.join();
   }
-  // Close the overlap split: announced batches nobody ever waited on
-  // were fully hidden behind compute.
+  // Close the overlap split: requests nobody waited on were fully
+  // hidden behind compute.
   for (auto& rsp : ranks_) {
-    RankState& rs = *rsp;
-    std::lock_guard<std::mutex> lk(rs.m);
-    for (auto& [id, req] : rs.in_flight) {
-      (void)id;
-      if (!req->classified) classify_locked(rs, *req, /*fully_overlapped=*/true);
-    }
-    for (auto& req : rs.queue) {
-      if (!req->classified) classify_locked(rs, *req, /*fully_overlapped=*/true);
-    }
-    for (auto& req : rs.awaiting_delivery) {
-      if (!req->classified) classify_locked(rs, *req, /*fully_overlapped=*/true);
-    }
-    rs.in_flight.clear();
-    rs.queue.clear();
-    rs.awaiting_delivery.clear();
+    std::lock_guard<std::mutex> lk(rsp->m);
+    retire_undelivered_locked(*rsp);
   }
 }
 
-int DistStore::add_reader() {
-  const int rank = world_ + reader_ranks_;
-  ++reader_ranks_;
+int DistStore::add_rank() {
   ranks_.push_back(std::make_unique<RankState>());
-  // Readers own nothing: partition(rank) is empty by construction
-  // (chunk_ * rank clamps to num_snapshots_), owner() never returns a
-  // reader, so price_batch treats every access as remote — the serving
-  // path pays the same modeled fetch costs a worker would for foreign
-  // snapshots.
-  if (async_prefetch_) {
-    ranks_.back()->stager = std::thread([this, rank] { stager_loop(rank); });
-  }
-  return rank;
+  RankState& rs = *ranks_.back();
+  // The staging thread holds its own rank's state and never reads the
+  // rank table, so appending ranks later cannot race with it.
+  if (async_prefetch_) rs.stager = std::thread([this, &rs] { stager_loop(rs); });
+  return static_cast<int>(ranks_.size()) - 1;
 }
+
+int DistStore::add_reader() { return add_rank(); }
 
 void DistStore::check_rank(int rank) const {
-  const int limit = world_ + reader_ranks_;
+  const int limit = static_cast<int>(ranks_.size());
   if (rank < 0 || rank >= limit) {
     throw std::out_of_range("DistStore: rank " + std::to_string(rank) +
                             " outside [0, " + std::to_string(limit) + ")");
@@ -110,77 +76,23 @@ void DistStore::check_rank(int rank) const {
 }
 
 DistStore::RankState& DistStore::rank_state(int rank) {
+  check_rank(rank);
   return *ranks_[static_cast<std::size_t>(rank)];
-}
-
-int DistStore::owner(std::int64_t snapshot) const {
-  if (snapshot < 0 || snapshot >= num_snapshots_) {
-    throw std::out_of_range("DistStore: snapshot " + std::to_string(snapshot) +
-                            " outside [0, " + std::to_string(num_snapshots_) + ")");
-  }
-  return static_cast<int>(snapshot / chunk_);
 }
 
 std::pair<std::int64_t, std::int64_t> DistStore::partition(int rank) const {
   check_rank(rank);
-  const std::int64_t lo = std::min(chunk_ * rank, num_snapshots_);
-  const std::int64_t hi = std::min(lo + chunk_, num_snapshots_);
-  return {lo, hi};
-}
-
-const data::StandardDataset& DistStore::dataset_ref() const {
-  if (!dataset_) {
-    throw std::logic_error("DistStore: data access requires a materialized store "
-                           "(ledger-only stores carry no snapshot tensors)");
-  }
-  return *dataset_;
+  return model_.partition(rank);
 }
 
 Tensor DistStore::shard_x(int rank) const {
   const auto [lo, hi] = partition(rank);
-  return dataset_ref().x().slice(0, lo, hi - lo);
+  return dataset_.x().slice(0, lo, hi - lo);
 }
 
 Tensor DistStore::shard_y(int rank) const {
   const auto [lo, hi] = partition(rank);
-  return dataset_ref().y().slice(0, lo, hi - lo);
-}
-
-MemorySpaceId DistStore::space() const { return dataset_ref().x().space(); }
-const data::StandardScaler& DistStore::scaler() const { return dataset_ref().scaler(); }
-const data::SplitRanges& DistStore::splits() const { return dataset_ref().splits(); }
-const data::DatasetSpec& DistStore::spec() const { return dataset_ref().spec(); }
-
-DistStore::BatchPrice DistStore::price_batch(
-    int rank, const std::vector<std::int64_t>& snapshots) const {
-  BatchPrice p;
-  std::vector<bool> owner_contacted;
-  if (consolidate_requests_) {
-    owner_contacted.assign(static_cast<std::size_t>(world_), false);
-  }
-  for (std::int64_t snapshot : snapshots) {
-    const int own = owner(snapshot);
-    if (own == rank) {
-      ++p.local;
-      continue;
-    }
-    ++p.remote;
-    p.remote_ids.push_back(snapshot);
-    if (consolidate_requests_) {
-      if (!owner_contacted[static_cast<std::size_t>(own)]) {
-        owner_contacted[static_cast<std::size_t>(own)] = true;
-        ++p.messages;
-      }
-    } else {
-      ++p.messages;
-    }
-  }
-  p.bytes = p.remote * static_cast<std::uint64_t>(snapshot_bytes_);
-  p.seconds =
-      p.remote > 0 ? network_.fetch_seconds(static_cast<std::int64_t>(p.bytes),
-                                            static_cast<std::int64_t>(p.messages))
-                   : 0.0;
-  return p;
+  return dataset_.y().slice(0, lo, hi - lo);
 }
 
 std::int64_t DistStore::future_schedule_pos_locked(const RankState& rs,
@@ -252,30 +164,8 @@ bool DistStore::try_stage_hit_locked(RankState& rs, std::int64_t i, bool pin) {
   rs.lru.splice(rs.lru.begin(), rs.lru, it->second.lru_it);
   std::lock_guard<std::mutex> lk(mu_);
   ++stats_.cache_hits;
-  stats_.cache_hit_bytes += static_cast<std::uint64_t>(snapshot_bytes_);
+  stats_.cache_hit_bytes += static_cast<std::uint64_t>(model_.snapshot_bytes());
   return true;
-}
-
-void DistStore::insert_entry_locked(RankState& rs, std::int64_t i, Tensor x,
-                                    Tensor y, bool pin) {
-  const std::int64_t moved =
-      static_cast<std::int64_t>(x.storage_bytes() + y.storage_bytes());
-  rs.lru.push_front(i);
-  rs.cache.emplace(i, CacheEntry{x, y, rs.lru.begin(), moved, pin ? 1 : 0});
-  rs.cache_bytes += moved;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.bytes_copied += static_cast<std::uint64_t>(moved);
-  }
-  evict_over_capacity_locked(rs);
-}
-
-void DistStore::stage_locked(RankState& rs, std::int64_t i, bool pin) {
-  if (try_stage_hit_locked(rs, i, pin)) return;
-  // Miss: this is where remote bytes physically move — a deep copy of
-  // the owning shard's snapshot into the requesting rank's cache.
-  const auto [xv, yv] = dataset_ref().get(i);
-  insert_entry_locked(rs, i, xv.clone(), yv.clone(), pin);
 }
 
 std::pair<Tensor, Tensor> DistStore::consume_locked(RankState& rs, std::int64_t i) {
@@ -301,229 +191,177 @@ std::pair<Tensor, Tensor> DistStore::consume_locked(RankState& rs, std::int64_t 
   return {x, y};
 }
 
-void DistStore::classify_locked(RankState& rs, StageRequest& req,
-                                bool fully_overlapped) {
+void DistStore::classify_locked(RankState& rs, Request& req, double window_seconds) {
   req.classified = true;
-  double exposed = 0.0;
-  if (!fully_overlapped) {
-    // The wall time between the announcement and the first moment the
-    // consumer needed the batch is real compute the modeled fetch hid
-    // behind; only the remainder stays on the critical path.
-    const double window = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - req.enqueued_at)
-                              .count();
-    exposed = std::max(0.0, req.modeled_seconds - window);
-  }
+  // The window is real compute the modeled fetch hid behind; only the
+  // remainder stays on the critical path.
+  const double exposed = std::max(0.0, req.modeled_seconds - window_seconds);
   rs.pending_exposed_seconds += exposed;
   std::lock_guard<std::mutex> lk(mu_);
   stats_.exposed_seconds += exposed;
   stats_.overlapped_seconds += req.modeled_seconds - exposed;
 }
 
-double DistStore::fetch_batch(int rank, const std::vector<std::int64_t>& snapshots) {
-  check_rank(rank);
-  BatchPrice p = price_batch(rank, snapshots);
-  RankState& rs = rank_state(rank);
-  {
-    std::lock_guard<std::mutex> lk(rs.m);
-    if (dataset_) {
-      // Materialized stores move the bytes right here: every remote
-      // snapshot lands in the rank's cache pinned until consumed
-      // (hit/miss classified inside).
-      for (std::int64_t id : p.remote_ids) stage_locked(rs, id, /*pin=*/true);
-    }
-    rs.pending_exposed_seconds += p.seconds;
+void DistStore::retire_undelivered_locked(RankState& rs) {
+  for (auto& [id, req] : rs.in_flight) {
+    (void)id;
+    if (!req->classified) classify_locked(rs, *req, kNeverWaited);
+    req->orphaned = true;
   }
-  std::lock_guard<std::mutex> lk(mu_);
-  stats_.local_snapshots += p.local;
-  stats_.remote_snapshots += p.remote;
-  stats_.remote_bytes += p.bytes;
-  stats_.request_messages += p.messages;
-  stats_.modeled_seconds += p.seconds;
-  stats_.exposed_seconds += p.seconds;  // synchronous: nothing overlaps
-  return p.seconds;
+  rs.in_flight.clear();
+  // Consumed by a prefetch worker but never delivered: the consumer
+  // never computed on them.
+  for (auto& req : rs.awaiting_delivery) {
+    if (!req->classified) classify_locked(rs, *req, kNeverWaited);
+  }
+  rs.awaiting_delivery.clear();
 }
 
-void DistStore::prefetch_batch(int rank, const std::vector<std::int64_t>& ids) {
-  if (!async_prefetch_ || !dataset_) {
-    fetch_batch(rank, ids);
-    return;
+std::shared_ptr<DistStore::Request> DistStore::announce_locked(
+    int rank, RankState& rs, std::unique_lock<std::mutex>& lk,
+    const std::vector<std::int64_t>& ids, bool inline_staging) {
+  FetchModel::Price p = model_.price(rank, ids);
+  // Announce-once/consume-once: a second announcement of an id whose
+  // first is still outstanding would unbalance its pin and leak the
+  // older request unclassified — fail loudly on misuse (validated
+  // before anything is recorded).
+  for (std::int64_t id : p.remote_ids) {
+    if (rs.in_flight.count(id) != 0) {
+      throw std::logic_error("DistStore: snapshot " + std::to_string(id) +
+                             " announced twice without an intervening fetch");
+    }
   }
-  check_rank(rank);
-  BatchPrice p = price_batch(rank, ids);
   {
-    // The async pipeline prices the batch at enqueue exactly like the
-    // synchronous path, so the ledger is identical with prefetch on or
-    // off; only the overlapped/exposed split differs (classified at
-    // first need).
-    std::lock_guard<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> g(mu_);
     stats_.local_snapshots += p.local;
     stats_.remote_snapshots += p.remote;
     stats_.remote_bytes += p.bytes;
     stats_.request_messages += p.messages;
     stats_.modeled_seconds += p.seconds;
   }
-  if (p.remote_ids.empty()) return;
+  if (p.remote_ids.empty()) return nullptr;
 
-  auto req = std::make_shared<StageRequest>();
+  auto req = std::make_shared<Request>();
   req->remote_ids = std::move(p.remote_ids);
   req->modeled_seconds = p.seconds;
-  req->enqueued_at = std::chrono::steady_clock::now();
-  RankState& rs = rank_state(rank);
-  {
-    std::lock_guard<std::mutex> lk(rs.m);
-    // Announce-once/consume-once: a second announcement of an id whose
-    // first is still outstanding would leak the older request
-    // unclassified and unbalance its pin — fail loudly on misuse
-    // (validated before any insert so the map is never left partial).
-    for (std::int64_t id : req->remote_ids) {
-      if (rs.in_flight.count(id) != 0) {
-        throw std::logic_error("DistStore: snapshot " + std::to_string(id) +
-                               " announced twice without an intervening fetch");
-      }
-    }
-    for (std::int64_t id : req->remote_ids) rs.in_flight.emplace(id, req);
+  req->announced_at = std::chrono::steady_clock::now();
+  for (std::int64_t id : req->remote_ids) rs.in_flight.emplace(id, req);
+  if (inline_staging) {
+    // The announcer waits for the copies itself: nothing hides them.
+    classify_locked(rs, *req, /*window_seconds=*/0.0);
+    stage_locked(rs, *req, lk);
+  } else {
     rs.queue.push_back(req);
+    rs.cv.notify_all();
   }
+  return req;
+}
+
+void DistStore::stage_locked(RankState& rs, Request& req,
+                             std::unique_lock<std::mutex>& lk) {
+  ++rs.staging;
+  // Orphaned requests (abandoned epochs) still move their bytes — they
+  // were priced at announcement and the ledger must stay backed by real
+  // movement — but land unpinned, immediately evictable.  Copies run
+  // with rs.m released; the cache is re-checked after re-locking in
+  // case the consumer faulted the id in meanwhile.
+  try {
+    for (std::int64_t id : req.remote_ids) {
+      if (try_stage_hit_locked(rs, id, /*pin=*/!req.orphaned)) continue;
+      // A miss: remote bytes physically move — a deep copy of the
+      // owning shard's snapshot into this rank's cache.
+      lk.unlock();
+      const auto [xv, yv] = dataset_.get(id);
+      Tensor x = xv.clone();
+      Tensor y = yv.clone();
+      lk.lock();
+      if (try_stage_hit_locked(rs, id, /*pin=*/!req.orphaned)) continue;
+      const std::int64_t moved =
+          static_cast<std::int64_t>(x.storage_bytes() + y.storage_bytes());
+      rs.lru.push_front(id);
+      rs.cache.emplace(id, CacheEntry{x, y, rs.lru.begin(), moved,
+                                      req.orphaned ? 0 : 1});
+      rs.cache_bytes += moved;
+      {
+        std::lock_guard<std::mutex> g(mu_);
+        stats_.bytes_copied += static_cast<std::uint64_t>(moved);
+      }
+      evict_over_capacity_locked(rs);
+    }
+  } catch (...) {
+    // Surface the failure on the consumer waiting for this request
+    // rather than letting it escape a staging thread (std::terminate).
+    if (!lk.owns_lock()) lk.lock();
+    req.error = std::current_exception();
+  }
+  req.staged = true;
+  --rs.staging;
   rs.cv.notify_all();
 }
 
-void DistStore::stager_loop(int rank) {
-  RankState& rs = rank_state(rank);
+void DistStore::stager_loop(RankState& rs) {
   // The staging thread clones whole batches of remote snapshots every
   // epoch in a repeating shape sequence — exactly the lifetime pattern
   // the arena pools.  One scope for the thread's lifetime: the first
-  // epoch plans bucket demand, later epochs stage alloc-free (clones
-  // fully overwrite recycled blocks; evictions release them back from
-  // the consumer side).
+  // epoch plans bucket demand, later epochs stage alloc-free.
   runtime::ArenaScope scope(rs.arena);
   std::unique_lock<std::mutex> lk(rs.m);
   for (;;) {
     rs.cv.wait(lk, [&] { return rs.stop || !rs.queue.empty(); });
     if (rs.stop) return;
-    std::shared_ptr<StageRequest> req = rs.queue.front();
+    std::shared_ptr<Request> req = std::move(rs.queue.front());
     rs.queue.pop_front();
-    rs.staging = true;
-    // Orphaned announcements (abandoned epochs) still move their bytes
-    // — they were priced at enqueue and the ledger must stay backed by
-    // real movement — but land unpinned, immediately evictable.
-    // Clones run with rs.m RELEASED so the rank's consumer (a fetch of
-    // a resident snapshot, the per-batch exposed-time drain) never
-    // stalls behind a whole batch of physical copies; re-check the
-    // cache after re-locking in case the consumer faulted the id in
-    // meanwhile.
-    try {
-      for (std::int64_t id : req->remote_ids) {
-        if (try_stage_hit_locked(rs, id, /*pin=*/!req->orphaned)) continue;
-        lk.unlock();
-        const auto [xv, yv] = dataset_ref().get(id);
-        Tensor x = xv.clone();
-        Tensor y = yv.clone();
-        lk.lock();
-        if (!try_stage_hit_locked(rs, id, /*pin=*/!req->orphaned)) {
-          insert_entry_locked(rs, id, x, y, /*pin=*/!req->orphaned);
-        }
-      }
-    } catch (...) {
-      // Surface the failure on the consumer waiting for this request
-      // rather than letting it escape the thread (std::terminate) and
-      // strand the waiter.
-      if (!lk.owns_lock()) lk.lock();
-      req->error = std::current_exception();
-    }
-    req->staged = true;
-    rs.staging = false;
-    rs.cv.notify_all();
+    stage_locked(rs, *req, lk);
   }
+}
+
+void DistStore::prefetch_batch(int rank, const std::vector<std::int64_t>& ids) {
+  RankState& rs = rank_state(rank);
+  std::unique_lock<std::mutex> lk(rs.m);
+  announce_locked(rank, rs, lk, ids, /*inline_staging=*/!async_prefetch_);
 }
 
 std::pair<Tensor, Tensor> DistStore::fetch(int rank, std::int64_t i) {
-  const int own = owner(i);
-  check_rank(rank);
-  const data::StandardDataset& ds = dataset_ref();
-  if (own == rank) return ds.get(i);  // zero-copy view of the owned shard
-
+  const int own = model_.owner(i);
   RankState& rs = rank_state(rank);
+  if (own == rank) return dataset_.get(i);  // zero-copy view of the owned shard
+
   std::unique_lock<std::mutex> lk(rs.m);
-  auto fit = rs.in_flight.find(i);
-  if (fit != rs.in_flight.end()) {
-    // Announced asynchronously: classify the request's modeled time at
-    // the consumer's first need, then block until the stager has
-    // processed the request.  Waiting on req->staged — not on the id
-    // becoming resident — keeps pins balanced: the stager's pin always
-    // precedes this consume, even when the id was already resident
-    // from an earlier epoch (consuming early would leave the stager's
-    // later pin with no matching unpin, exempting the entry from
-    // eviction for the rest of the epoch).  It also covers a
-    // concurrent abandon_prefetches orphaning the request: its
-    // snapshots land unpinned and may already be evicted, in which
-    // case we fall through and fault the id back in.
-    std::shared_ptr<StageRequest> req = fit->second;
-    rs.in_flight.erase(fit);
-    if (!req->classified && !req->awaiting_delivery) {
-      if (delivery_driven_) {
-        // A prefetch worker is fetching ahead of compute: the window
-        // that really hides this request runs until the batch reaches
-        // the consumer (notify_batch_delivered), not until here.
-        req->awaiting_delivery = true;
-        rs.awaiting_delivery.push_back(req);
-      } else {
-        classify_locked(rs, *req, /*fully_overlapped=*/false);
-      }
+  for (;;) {
+    std::shared_ptr<Request> req;
+    const auto fit = rs.in_flight.find(i);
+    if (fit != rs.in_flight.end()) {
+      req = std::move(fit->second);
+      rs.in_flight.erase(fit);
+    } else {
+      // Unannounced (or abandoned) id: it travels as its own
+      // one-snapshot request, staged inline and exposed in full.
+      req = announce_locked(rank, rs, lk, {i}, /*inline_staging=*/true);
+      rs.in_flight.erase(i);
     }
+    if (!req->classified && !req->needed) {
+      req->needed = true;
+      rs.awaiting_delivery.push_back(req);
+    }
+    // Waiting on req->staged — not on the id becoming resident — keeps
+    // pins balanced: the stager's pin always precedes this consume,
+    // even when the id was already resident from an earlier epoch.
     rs.cv.wait(lk, [&] { return req->staged; });
     if (rs.cache.count(i) != 0) return consume_locked(rs, i);
     if (req->error) std::rethrow_exception(req->error);
+    // A concurrent abandon_prefetches orphaned the request mid-staging
+    // and the unpinned copy was already evicted: fault it back in.
   }
-  if (rs.cache.count(i) != 0) {
-    // Announced via a synchronous prefetch_batch (or still resident):
-    // the batch-level accounting already classified this snapshot;
-    // reading the staged copy is free.
-    return consume_locked(rs, i);
-  }
-
-  // Unannounced remote access: price and move it as its own
-  // single-snapshot request, exposed in full.
-  const double seconds = network_.fetch_seconds(snapshot_bytes_, 1);
-  rs.pending_exposed_seconds += seconds;
-  {
-    std::lock_guard<std::mutex> lk2(mu_);
-    ++stats_.remote_snapshots;
-    stats_.remote_bytes += static_cast<std::uint64_t>(snapshot_bytes_);
-    ++stats_.request_messages;
-    stats_.modeled_seconds += seconds;
-    stats_.exposed_seconds += seconds;
-  }
-  stage_locked(rs, i, /*pin=*/true);
-  return consume_locked(rs, i);
 }
 
 void DistStore::abandon_prefetches(int rank) {
-  check_rank(rank);
-  if (!dataset_) return;
   RankState& rs = rank_state(rank);
   std::unique_lock<std::mutex> lk(rs.m);
-  for (auto& [id, req] : rs.in_flight) {
-    (void)id;
-    // Never waited on: whatever compute ran since the announcement
-    // fully hid the modeled time.
-    if (!req->classified) classify_locked(rs, *req, /*fully_overlapped=*/true);
-    req->orphaned = true;
-  }
-  rs.in_flight.clear();
-  // Delivery-driven requests a truncated epoch assembled but never
-  // delivered: the consumer never computed on them, so the modeled
-  // time was fully hidden.
-  for (auto& req : rs.awaiting_delivery) {
-    if (!req->classified) classify_locked(rs, *req, /*fully_overlapped=*/true);
-  }
-  rs.awaiting_delivery.clear();
-  // Quiesce the pipeline: orphaned requests still move their bytes
-  // (the ledger was priced at enqueue and must stay backed by real
-  // movement), so wait until the stager has drained the queue — and
-  // finished any in-progress request — before releasing pins;
-  // afterwards stats() decomposes exactly again.
-  rs.cv.wait(lk, [&] { return rs.queue.empty() && !rs.staging; });
+  retire_undelivered_locked(rs);
+  // Quiesce the pipeline: orphaned requests still move their bytes, so
+  // wait until every queued or in-progress request is staged before
+  // releasing pins; afterwards stats() decomposes exactly again.
+  rs.cv.wait(lk, [&] { return rs.queue.empty() && rs.staging == 0; });
   for (auto& [id, entry] : rs.cache) {
     (void)id;
     entry.pins = 0;
@@ -539,23 +377,18 @@ void DistStore::abandon_prefetches(int rank) {
 }
 
 void DistStore::notify_batch_delivered(int rank) {
-  check_rank(rank);
-  if (!dataset_ || !delivery_driven_) return;
   RankState& rs = rank_state(rank);
   std::lock_guard<std::mutex> lk(rs.m);
   if (rs.awaiting_delivery.empty()) return;
-  // One request per delivery, FIFO: requests are enqueued and consumed
-  // in batch order, so the oldest unclassified one belongs to this (or
-  // an earlier, remote-free) batch — classifying it now measures the
-  // window to the consumer's need, never past it.
-  std::shared_ptr<StageRequest> req = rs.awaiting_delivery.front();
+  const std::shared_ptr<Request> req = std::move(rs.awaiting_delivery.front());
   rs.awaiting_delivery.pop_front();
-  if (!req->classified) classify_locked(rs, *req, /*fully_overlapped=*/false);
+  classify_locked(rs, *req,
+                  std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                                req->announced_at)
+                      .count());
 }
 
 void DistStore::announce_schedule(int rank, const std::vector<std::int64_t>& ids) {
-  check_rank(rank);
-  if (!dataset_) return;
   RankState& rs = rank_state(rank);
   std::lock_guard<std::mutex> lk(rs.m);
   rs.schedule_pos.clear();
@@ -567,7 +400,6 @@ void DistStore::announce_schedule(int rank, const std::vector<std::int64_t>& ids
 }
 
 double DistStore::drain_modeled_seconds(int rank) {
-  check_rank(rank);
   RankState& rs = rank_state(rank);
   std::lock_guard<std::mutex> lk(rs.m);
   const double out = rs.pending_exposed_seconds;

@@ -4,48 +4,56 @@
 // contiguously across workers; a worker whose shuffled batch contains
 // snapshots owned elsewhere must fetch them over the network.
 //
-// DistStore exists in two modes:
+// DistStore takes ownership of a materialized StandardDataset and
+// implements data::SnapshotProvider over it.  Ownership and pricing
+// come from a FetchModel (fetch_model.h): rank r owns the contiguous
+// shard [partition(r)) (shard_x/shard_y expose the owned slices), and
+// every remote access is priced per the model.  fetch() returns a
+// zero-copy view for rank-local snapshots and a real copied tensor,
+// served through a bounded per-rank cache, for remote ones.  The
+// StoreStats ledger keeps the *model* (every remote access priced,
+// consolidated per owner) next to the *measured* movement
+// (bytes_copied, cache hits), so modeled bytes can be asserted against
+// bytes that physically moved: remote_bytes == bytes_copied +
+// cache_hit_bytes always holds.
 //
-//  * Ledger-only (num_snapshots/snapshot_bytes ctor): the ownership
-//    map plus fetch accounting from PR 1 — remote accesses are counted
-//    (snapshots, bytes, request messages) and priced by the
-//    NetworkModel, but no data exists.  ClusterModel-style validation
-//    and microbenches use this mode.
-//  * Materialized (StandardDataset ctor): a real partitioned snapshot
-//    store implementing data::SnapshotProvider.  Each rank owns the
-//    contiguous shard [partition(rank)) of the materialized x/y arrays
-//    (shard_x/shard_y expose the owned slices); fetch() returns actual
-//    tensor data — a zero-copy view for rank-local snapshots, a real
-//    copied tensor served through a bounded per-rank LRU cache for
-//    remote ones.  The StoreStats ledger keeps the PR 1 *model*
-//    (every remote access priced, consolidation per owner) and adds
-//    the *measured* movement (bytes_copied, cache hits), so modeled
-//    bytes can be asserted against bytes that physically moved:
-//    remote_bytes == bytes_copied + cache_hit_bytes always holds.
+// Ranks.  The store starts with `world` worker ranks; add_reader()
+// appends more.  Every rank gets the same state (cache, request
+// pipeline, staging thread when staging is asynchronous); a rank
+// differs from another only in what it owns, and ranks past the
+// workers own nothing, so every access they make is remote.  Serving
+// uses such a reader rank, which keeps training shards untouched by
+// serving traffic.
 //
-// Announcement protocol (the consolidation contract): a batch of
-// snapshot ids is announced once (fetch_batch / prefetch_batch) and
-// each announced remote snapshot is then consumed by exactly one
-// fetch().  Announced snapshots are *pinned* in the cache until
-// consumed, so even a zero-capacity or byte-tight cache can never
-// evict a snapshot between its announcement and its consumption — the
-// failure mode that used to re-price announced fetches as their own
-// single-snapshot requests.  abandon_prefetches(rank) releases
+// Request lifecycle.  Every remote access travels in a request, and
+// every request takes the same four steps:
+//
+//   1. announce — prefetch_batch prices the batch through the
+//      FetchModel, records the price in the ledger, and marks its
+//      remote ids in flight.  A fetch() of an id nobody announced is
+//      announced on the spot as its own one-snapshot request.
+//   2. stage — the ids are copied into the rank's cache, pinned: on
+//      the rank's staging thread when the store stages asynchronously
+//      (async_prefetch), inline on the announcing thread otherwise.
+//   3. consume — each announced id is taken by exactly one fetch(),
+//      which waits for the request's staging and unpins the id.
+//   4. classify — the request's modeled seconds split into overlapped
+//      and exposed: exposed = max(0, modeled - window), where the
+//      window is the wall time from announcement to the *delivery* of
+//      the batch that first needed it (notify_batch_delivered, on the
+//      consumer).  A prefetch worker may fetch a batch up to `depth`
+//      batches before the consumer computes on it, so the window
+//      closes at delivery, not at the worker's fetch.  Inline staging
+//      blocks the announcer, so those requests are exposed in full at
+//      announcement; requests never delivered (abandon_prefetches,
+//      destruction) were never waited on and are fully overlapped.
+//
+// Announced snapshots stay pinned until consumed, so even a
+// zero-capacity or byte-tight cache never evicts a snapshot between
+// its announcement and its consumption (which would re-price it as a
+// request of its own).  abandon_prefetches(rank) releases
 // announcements that will never be consumed (epoch truncation).
-//
-// Async prefetch pipeline (paper §7 future work): with
-// async_prefetch, prefetch_batch() prices the batch and enqueues it on
-// a per-rank background staging thread instead of copying inline;
-// fetch() blocks only on snapshots not yet staged.  Loaders may keep
-// any number of batches in flight (depth-N lookahead) — the staging
-// queue is FIFO and every in-flight batch's snapshots stay pinned.
-// Modeled fetch time then splits into *overlapped* seconds (hidden
-// behind the real compute that elapsed between the announcement and
-// the first time the consumer needed the batch) and *exposed* seconds
-// (the remainder, the part still on the critical path).
-// drain_modeled_seconds() drains only the exposed share — the
-// synchronous path exposes everything, so the two modes price
-// identical ledgers and differ only in the split.
+// drain_modeled_seconds() drains only the exposed share.
 //
 // Schedule-aware eviction: announce_schedule(rank, ids) installs the
 // epoch's consumption order; when the cache must evict, victims are
@@ -54,20 +62,16 @@
 // snapshot scheduled for a nearer-future batch always outlives
 // already-consumed residue.  Without a schedule, eviction degrades to
 // plain pinned-aware LRU.
-//
-// With consolidate_requests, all items owned by one peer travel in a
-// single request per batch — the Dask batching optimization §5.1
-// applies to the baseline to keep the comparison fair.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -76,14 +80,15 @@
 #include "data/preprocess.h"
 #include "data/snapshot_provider.h"
 #include "dist/cluster_model.h"
+#include "dist/fetch_model.h"
 #include "runtime/arena.h"
 
 namespace pgti::dist {
 
 /// Remote-fetch ledger (what DistResult reports).  The first block is
 /// the fetch *model* (every remote access priced); the second is the
-/// *measured* movement of a materialized store.  Invariant for
-/// materialized stores: remote_bytes == bytes_copied + cache_hit_bytes.
+/// *measured* movement.  Invariant: remote_bytes == bytes_copied +
+/// cache_hit_bytes.
 struct StoreStats {
   std::uint64_t local_snapshots = 0;
   std::uint64_t remote_snapshots = 0;
@@ -91,45 +96,38 @@ struct StoreStats {
   std::uint64_t request_messages = 0;
   double modeled_seconds = 0.0;
 
-  /// Split of modeled_seconds by whether the async staging pipeline hid
-  /// the time behind compute.  overlapped + exposed converges to
-  /// modeled_seconds once every announced batch has been consumed or
-  /// abandoned (synchronous fetches are exposed in full).
+  /// Split of modeled_seconds by whether compute hid the time.
+  /// overlapped + exposed converges to modeled_seconds once every
+  /// announced request has been delivered or abandoned.
   double overlapped_seconds = 0.0;
   double exposed_seconds = 0.0;
 
   std::uint64_t bytes_copied = 0;     ///< bytes physically cloned on cache misses
-  std::uint64_t cache_hits = 0;       ///< remote accesses served from the LRU cache
+  std::uint64_t cache_hits = 0;       ///< remote accesses served from the cache
   std::uint64_t cache_hit_bytes = 0;  ///< modeled bytes the cache absorbed
   std::uint64_t cache_evictions = 0;
 };
 
-/// Contiguous ceil-chunked ownership of `num_snapshots` snapshots
-/// across `world` workers, with per-batch fetch accounting and
-/// (materialized mode) real byte-moving snapshot storage.
-/// Thread-safe for concurrent calls with DISTINCT ranks; within one
-/// rank, the consumer, the staging thread, and a drainer may run
-/// concurrently (per-rank state is mutex-protected).
+/// Partitioned, byte-moving snapshot store.  Thread-safe for
+/// concurrent calls with DISTINCT ranks; within one rank, the
+/// consumer, the staging thread, and a drainer may run concurrently
+/// (per-rank state is mutex-protected).
 class DistStore final : public data::SnapshotProvider {
  public:
-  /// Default per-rank LRU cache capacity, in snapshots.
+  /// Default per-rank cache capacity, in snapshots.
   static constexpr std::int64_t kDefaultCacheSnapshots = 64;
 
-  /// Ledger-only mode: ownership map + fetch accounting, no data.
-  DistStore(std::int64_t num_snapshots, std::int64_t snapshot_bytes, int world,
-            NetworkModel network, bool consolidate_requests = true);
-
-  /// Materialized mode: takes ownership of the dataset and partitions
-  /// its snapshots contiguously across `world` ranks.
+  /// Takes ownership of the dataset and partitions its snapshots
+  /// contiguously across `world` worker ranks.
+  /// `consolidate_requests` is the FetchModel's pricing rule.
   /// `cache_snapshots_per_rank` bounds each rank's remote cache in
   /// snapshots (0 is a valid zero-capacity cache: announced snapshots
   /// survive until consumed, then evict immediately; negative = auto —
   /// the store owns its default and sizes the cache to a couple of
   /// batches of the dataset's spec, never below
   /// kDefaultCacheSnapshots); `cache_bytes_per_rank` adds a byte bound
-  /// on top (0 = no byte bound).  `async_prefetch` spawns one staging
-  /// thread per rank and turns prefetch_batch into an asynchronous
-  /// enqueue.
+  /// on top (0 = no byte bound).  `async_prefetch` gives every rank a
+  /// staging thread, so prefetch_batch returns before its copies run.
   DistStore(data::StandardDataset dataset, int world, NetworkModel network,
             bool consolidate_requests = true,
             std::int64_t cache_snapshots_per_rank = -1,
@@ -140,83 +138,64 @@ class DistStore final : public data::SnapshotProvider {
   DistStore(const DistStore&) = delete;
   DistStore& operator=(const DistStore&) = delete;
 
-  /// Registers a read-only rank (a serving-side view of the store) and
-  /// returns its rank id.  Readers own no partition — every fetch is
-  /// remote, priced and cached exactly like a worker's remote accesses
-  /// — so training shards are untouched by serving traffic.  With
-  /// async_prefetch the reader gets its own staging thread.  Setup
-  /// time only: call before any concurrent use of the store (rank
-  /// registration is not synchronized against in-flight accesses).
+  /// Appends a rank that owns no partition (a serving-side view of the
+  /// store) and returns its id.  It is an ordinary rank in every other
+  /// respect: same cache, same request lifecycle, its own staging
+  /// thread when staging is asynchronous.  Running staging threads
+  /// never read the rank table, but the table itself is not
+  /// synchronized: call it before any other thread uses the store.
   int add_reader();
-
-  /// Ranks registered via add_reader() so far.
-  int reader_ranks() const noexcept { return reader_ranks_; }
 
   /// Owning rank of a snapshot; throws std::out_of_range for ids
   /// outside [0, num_snapshots).
-  int owner(std::int64_t snapshot) const;
+  int owner(std::int64_t snapshot) const { return model_.owner(snapshot); }
 
-  /// [begin, end) snapshot range owned by `rank`.
+  /// [begin, end) snapshot range owned by `rank` (empty for readers).
   std::pair<std::int64_t, std::int64_t> partition(int rank) const;
 
-  /// Accounts one batch of snapshot accesses by `rank` and returns the
-  /// modeled seconds this batch spent fetching remote snapshots.  In
-  /// materialized mode this is also where remote bytes physically move:
-  /// missing snapshots are copied into `rank`'s LRU cache and pinned
-  /// until consumed by fetch().  Always synchronous (the async pipeline
-  /// goes through prefetch_batch).
-  double fetch_batch(int rank, const std::vector<std::int64_t>& snapshots);
-
+  const FetchModel& model() const noexcept { return model_; }
   StoreStats stats() const;
 
-  std::int64_t snapshot_bytes() const noexcept { return snapshot_bytes_; }
-  int world() const noexcept { return world_; }
-  bool consolidates_requests() const noexcept { return consolidate_requests_; }
-  bool materialized() const noexcept { return dataset_.has_value(); }
+  std::int64_t snapshot_bytes() const noexcept { return model_.snapshot_bytes(); }
   bool async_prefetch() const noexcept { return async_prefetch_; }
-  std::int64_t cache_capacity() const noexcept { return cache_capacity_; }
-  std::int64_t cache_bytes_capacity() const noexcept { return cache_bytes_capacity_; }
 
-  /// The materialized x/y shard owned by `rank`: zero-copy views of
-  /// the snapshot range [partition(rank)).  Materialized mode only.
+  /// The x/y shard owned by `rank`: zero-copy views of the snapshot
+  /// range [partition(rank)).
   Tensor shard_x(int rank) const;
   Tensor shard_y(int rank) const;
 
-  // --- data::SnapshotProvider (materialized mode only, except
-  // num_snapshots; the data accessors throw std::logic_error on a
-  // ledger-only store) -------------------------------------------------
+  /// Classification is always delivery-driven (see the request
+  /// lifecycle above); this switch no longer selects anything and is
+  /// kept so existing callers compile.
+  [[deprecated("classification is always at delivery")]]
+  void set_delivery_driven_classification(bool) {}
+
+  // --- data::SnapshotProvider -----------------------------------------
   std::pair<Tensor, Tensor> fetch(int rank, std::int64_t i) override;
+  /// Announces one batch (step 1 of the lifecycle).  Throws
+  /// std::logic_error if a remote id is still in flight from an
+  /// earlier announcement of this rank.
   void prefetch_batch(int rank, const std::vector<std::int64_t>& ids) override;
   void abandon_prefetches(int rank) override;
+  /// Classifies the oldest consumed-but-unclassified request of `rank`
+  /// (FIFO, one per delivery).  Requests are announced and consumed in
+  /// batch order and a batch without remote snapshots creates none, so
+  /// a request is classified at or before its own delivery — never
+  /// overstating overlap.
   void notify_batch_delivered(int rank) override;
-  /// Switches first-need classification from the fetching thread to
-  /// notify_batch_delivered (FIFO, one request per delivery).  Enable
-  /// BEFORE any consumer runs when a prefetch pipeline assembles
-  /// batches ahead of compute — the worker's fetch happens up to
-  /// `depth` batches before the consumer's need, and classifying there
-  /// would shrink the measured window as depth grows.  Requests a
-  /// truncated epoch consumed but never delivered are reconciled as
-  /// fully overlapped by abandon_prefetches.
-  void set_delivery_driven_classification(bool on) { delivery_driven_ = on; }
   /// Installs `rank`'s announced consumption order for schedule-aware
   /// eviction (replaces any previous schedule; ids may repeat —
   /// loaders announce the current epoch's order followed by the next
   /// epoch's, so end-of-epoch residue the coming epoch reuses keeps a
-  /// future position across the boundary).  Position in `ids` =
-  /// consumption order; eviction victims are chosen among unpinned
-  /// entries preferring ones with no remaining scheduled use, then the
-  /// farthest-scheduled (Belady fallback) — a snapshot scheduled for a
-  /// nearer-future batch is never evicted while an already-consumed
-  /// one is resident.  The schedule survives abandon_prefetches (the
-  /// following start_epoch replaces it) so boundary eviction still
-  /// sees the next epoch's needs.
+  /// future position across the boundary).  The schedule survives
+  /// abandon_prefetches (the following start_epoch replaces it).
   void announce_schedule(int rank, const std::vector<std::int64_t>& ids) override;
   double drain_modeled_seconds(int rank) override;
-  std::int64_t num_snapshots() const noexcept override { return num_snapshots_; }
-  MemorySpaceId space() const override;
-  const data::StandardScaler& scaler() const override;
-  const data::SplitRanges& splits() const override;
-  const data::DatasetSpec& spec() const override;
+  std::int64_t num_snapshots() const noexcept override { return model_.num_snapshots(); }
+  MemorySpaceId space() const override { return dataset_.x().space(); }
+  const data::StandardScaler& scaler() const override { return dataset_.scaler(); }
+  const data::SplitRanges& splits() const override { return dataset_.splits(); }
+  const data::DatasetSpec& spec() const override { return dataset_.spec(); }
 
  private:
   struct CacheEntry {
@@ -228,25 +207,22 @@ class DistStore final : public data::SnapshotProvider {
     int pins = 0;
   };
 
-  /// One asynchronously announced batch: the remote ids to stage, the
-  /// modeled price charged at enqueue, and the enqueue timestamp the
-  /// overlapped/exposed classification measures the compute window
-  /// from.
-  struct StageRequest {
+  /// One announced batch's remote ids on their way through the
+  /// lifecycle: priced at announcement, staged, consumed, classified.
+  struct Request {
     std::vector<std::int64_t> remote_ids;
     double modeled_seconds = 0.0;
-    std::chrono::steady_clock::time_point enqueued_at;
+    std::chrono::steady_clock::time_point announced_at;
     bool staged = false;
+    bool needed = false;  ///< a fetch consumed it; queued for delivery
     bool classified = false;
-    bool awaiting_delivery = false;  ///< consumed, queued for delivery classification
     bool orphaned = false;  ///< abandoned before staging: stage unpinned
     /// Staging failure (e.g. bad_alloc in a clone), rethrown on the
-    /// consumer that waits for this request instead of terminating the
-    /// staging thread's process.
+    /// consumer that waits for this request.
     std::exception_ptr error;
   };
 
-  /// Per-rank remote-snapshot cache, staging pipeline, and
+  /// Per-rank remote-snapshot cache, request pipeline, and
   /// exposed-time drain accumulator.  `m` serializes the rank's
   /// consumer thread, its staging thread, and drain callers.
   struct RankState {
@@ -256,94 +232,73 @@ class DistStore final : public data::SnapshotProvider {
     std::unordered_map<std::int64_t, CacheEntry> cache;
     std::int64_t cache_bytes = 0;
     double pending_exposed_seconds = 0.0;
-    std::deque<std::shared_ptr<StageRequest>> queue;  // enqueued, not yet staged
-    /// Announced-but-unconsumed remote ids -> the request staging them.
-    std::unordered_map<std::int64_t, std::shared_ptr<StageRequest>> in_flight;
-    /// Delivery-driven mode: requests the (worker) consumer fetched,
-    /// FIFO, waiting for notify_batch_delivered to classify them.
-    std::deque<std::shared_ptr<StageRequest>> awaiting_delivery;
-    std::thread stager;
-    bool staging = false;  ///< a popped request is mid-staging
+    std::deque<std::shared_ptr<Request>> queue;  // for the staging thread
+    /// Announced-but-unconsumed remote ids -> their request.
+    std::unordered_map<std::int64_t, std::shared_ptr<Request>> in_flight;
+    /// Consumed requests waiting, FIFO, for their delivery.
+    std::deque<std::shared_ptr<Request>> awaiting_delivery;
+    int staging = 0;  ///< requests being staged right now
     bool stop = false;
 
     /// Epoch schedule for schedule-aware eviction: id -> ALL positions
-    /// (ascending) in the announced consumption order.  Loaders
-    /// announce the current epoch followed by the next one (both are
-    /// pure functions of the seed), so an id may appear several times;
-    /// only its first position at or past schedule_progress matters.
-    /// Positions below schedule_progress have already been consumed
-    /// (remote consumes advance it).
+    /// (ascending) in the announced consumption order; only the first
+    /// position at or past schedule_progress matters (earlier ones
+    /// have been consumed).
     std::unordered_map<std::int64_t, std::vector<std::int64_t>> schedule_pos;
     std::int64_t schedule_progress = 0;
 
-    /// Pool for the staging thread's snapshot clones: the stager runs
-    /// under an ArenaScope on this arena, so after the first pass over
-    /// a shape the per-batch remote copies recycle pool blocks instead
-    /// of hitting the heap (clones fully overwrite, so recycled
+    /// Pool for the staging thread's snapshot clones: after the first
+    /// pass over a shape, per-batch remote copies recycle pool blocks
+    /// instead of hitting the heap (clones fully overwrite, so recycled
     /// uninitialized memory is safe).  Cache evictions release blocks
     /// from the consumer thread; the arena is thread-safe for that.
     runtime::TensorArena arena;
+    std::thread stager;  ///< last: it runs on every member above
   };
 
-  /// Per-owner-consolidated price of one announced batch (the PR 1
-  /// fetch model, unchanged).
-  struct BatchPrice {
-    std::uint64_t local = 0;
-    std::uint64_t remote = 0;
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-    double seconds = 0.0;
-    std::vector<std::int64_t> remote_ids;
-  };
-
-  const data::StandardDataset& dataset_ref() const;
+  /// Appends one rank's state (and its staging thread) to the table.
+  int add_rank();
   RankState& rank_state(int rank);
   void check_rank(int rank) const;
-  BatchPrice price_batch(int rank, const std::vector<std::int64_t>& snapshots) const;
 
-  /// Serves remote snapshot `i` into `rank`'s cache (rs.m held),
-  /// physically cloning it in on a miss.  `pin` marks the snapshot
-  /// announced-until-consumed.  Updates the measured-movement stats.
-  void stage_locked(RankState& rs, std::int64_t i, bool pin);
-  /// Hit half of stage_locked (rs.m held): if `i` is resident, records
-  /// the cache hit, refreshes LRU, optionally pins, and returns true.
+  /// Step 1 (rs.m held): prices `ids`, records the price, marks the
+  /// remote ids in flight, and stages them inline or enqueues them.
+  /// Returns the request, or null when every id is local.
+  std::shared_ptr<Request> announce_locked(int rank, RankState& rs,
+                                           std::unique_lock<std::mutex>& lk,
+                                           const std::vector<std::int64_t>& ids,
+                                           bool inline_staging);
+  /// Step 2 (rs.m held on entry and exit, released around each copy so
+  /// the rank's consumer never stalls behind a batch of copies).
+  void stage_locked(RankState& rs, Request& req, std::unique_lock<std::mutex>& lk);
+  /// Step 4 (rs.m held): exposed = max(0, modeled - window_seconds).
+  void classify_locked(RankState& rs, Request& req, double window_seconds);
+  /// Classifies every in-flight or undelivered request as fully
+  /// overlapped and orphans the in-flight ones (rs.m held).
+  void retire_undelivered_locked(RankState& rs);
+
+  /// If `i` is resident (rs.m held): records the cache hit, refreshes
+  /// LRU, optionally pins, and returns true.
   bool try_stage_hit_locked(RankState& rs, std::int64_t i, bool pin);
-  /// Miss half of stage_locked (rs.m held): inserts the cloned
-  /// tensors, records the copied bytes, and enforces the bounds.
-  void insert_entry_locked(RankState& rs, std::int64_t i, Tensor x, Tensor y,
-                           bool pin);
-  /// Hands the cached snapshot to the consumer (rs.m held): unpins one
-  /// announcement and enforces the cache bounds.
+  /// Step 3 (rs.m held): hands the cached snapshot to the consumer,
+  /// unpins one announcement, and enforces the cache bounds.
   std::pair<Tensor, Tensor> consume_locked(RankState& rs, std::int64_t i);
   /// Evicts unpinned entries while over either bound (rs.m held);
-  /// victim choice is schedule-aware: entries with no remaining
-  /// scheduled use go first (LRU order among them), then the
-  /// farthest-scheduled; pinned (announced, unconsumed) entries are
-  /// never victims.  Evictions count into stats_.cache_evictions.
+  /// entries with no remaining scheduled use go first (LRU order among
+  /// them), then the farthest-scheduled.
   void evict_over_capacity_locked(RankState& rs);
   /// Next scheduled position of `i` in `rs`'s announced epoch order,
   /// or -1 when `i` is unscheduled / already past (rs.m held).
   static std::int64_t future_schedule_pos_locked(const RankState& rs,
                                                  std::int64_t i);
-  /// First-need classification of an async request (rs.m held):
-  /// exposed = max(0, modeled - wall seconds since enqueue).
-  void classify_locked(RankState& rs, StageRequest& req, bool fully_overlapped);
 
-  void stager_loop(int rank);
+  void stager_loop(RankState& rs);
 
-  std::int64_t num_snapshots_;
-  std::int64_t snapshot_bytes_;
-  int world_;
-  int reader_ranks_ = 0;  ///< read-only ranks appended after the workers
-  std::int64_t chunk_ = 1;
-  NetworkModel network_;
-  bool consolidate_requests_;
-  std::int64_t cache_capacity_ = kDefaultCacheSnapshots;
-  std::int64_t cache_bytes_capacity_ = 0;  ///< 0 = no byte bound
-  bool async_prefetch_ = false;
-  bool delivery_driven_ = false;  ///< set before consumers run, const after
-
-  std::optional<data::StandardDataset> dataset_;
+  FetchModel model_;
+  data::StandardDataset dataset_;
+  std::int64_t cache_capacity_;
+  std::int64_t cache_bytes_capacity_;  ///< 0 = no byte bound
+  bool async_prefetch_;
   std::vector<std::unique_ptr<RankState>> ranks_;
 
   mutable std::mutex mu_;

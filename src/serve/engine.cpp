@@ -249,6 +249,9 @@ void InferenceEngine::serve_batch(std::vector<PendingRequest>& batch) {
       (void)y;
       windows.emplace(id, std::move(x));
     }
+    // The batch has reached its consumer: this closes the overlap
+    // window of the request the announcement above opened.
+    provider_->notify_batch_delivered(rank_);
     Tensor x = Tensor::empty({B, T, N, F}, kHostSpace);
     for (std::int64_t b = 0; b < B; ++b) {
       x.select(0, b).copy_from(windows.at(ids[static_cast<std::size_t>(b)]));

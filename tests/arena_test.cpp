@@ -416,6 +416,7 @@ TEST(ArenaStaging, DistStoreStagerRecyclesRemoteCloneBlocks) {
     for (int c = 0; c < count; ++c) {
       store.prefetch_batch(rank, ids);
       for (std::int64_t i : ids) (void)store.fetch(rank, i);
+      store.notify_batch_delivered(rank);
     }
   };
 

@@ -9,8 +9,8 @@
 //  * A worker that dies mid-collective releases its peers with
 //    PeerFailureError from EVERY internal sync point of the staged
 //    tree all-reduce, not just the first.
-//  * DistStore never counts a remote fetch when every rank touches only
-//    its own partition — the access pattern generalized-distributed-
+//  * The fetch model never prices a remote fetch when every rank touches
+//    only its own partition — the access pattern generalized-distributed-
 //    index-batching (paper §5.4) guarantees by construction.
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "dist/comm.h"
-#include "dist/dist_store.h"
+#include "dist/fetch_model.h"
 #include "runtime/rng.h"
 
 namespace pgti::dist {
@@ -184,36 +184,35 @@ TEST(TreeFailure, DeathBetweenCollectivesStillReleasesDeepStages) {
 
 // ---------------------------------------------------------------- store
 
-TEST(DistStoreLocality, PartitionLocalAccessNeverFetches) {
+TEST(FetchModelLocality, PartitionLocalAccessNeverFetches) {
   // Generalized-index access pattern: every rank reads only snapshots
-  // it owns.  The ledger must show zero remote traffic and zero
+  // it owns.  The price must show zero remote traffic and zero
   // modeled seconds.
   const std::int64_t snapshots = 1000;
   const int world = 4;
-  DistStore store(snapshots, 4096, world, NetworkModel{});
+  FetchModel model(snapshots, 4096, world, NetworkModel{});
   for (int rank = 0; rank < world; ++rank) {
-    const auto [lo, hi] = store.partition(rank);
+    const auto [lo, hi] = model.partition(rank);
     std::vector<std::int64_t> batch;
     for (std::int64_t s = lo; s < hi; s += 7) batch.push_back(s);
-    EXPECT_EQ(store.fetch_batch(rank, batch), 0.0) << "rank " << rank;
+    const FetchModel::Price p = model.price(rank, batch);
+    EXPECT_EQ(p.seconds, 0.0) << "rank " << rank;
+    EXPECT_EQ(p.remote, 0u) << "rank " << rank;
+    EXPECT_EQ(p.bytes, 0u) << "rank " << rank;
+    EXPECT_EQ(p.messages, 0u) << "rank " << rank;
+    EXPECT_EQ(p.local, batch.size()) << "rank " << rank;
   }
-  const StoreStats st = store.stats();
-  EXPECT_EQ(st.remote_snapshots, 0u);
-  EXPECT_EQ(st.remote_bytes, 0u);
-  EXPECT_EQ(st.request_messages, 0u);
-  EXPECT_EQ(st.modeled_seconds, 0.0);
-  EXPECT_GT(st.local_snapshots, 0u);
 }
 
-TEST(DistStoreLocality, PartitionsTileTheStoreExactly) {
+TEST(FetchModelLocality, PartitionsTileTheStoreExactly) {
   const std::int64_t snapshots = 997;  // prime: uneven tail chunk
   const int world = 8;
-  DistStore store(snapshots, 128, world, NetworkModel{});
+  FetchModel model(snapshots, 128, world, NetworkModel{});
   std::int64_t covered = 0;
   for (int rank = 0; rank < world; ++rank) {
-    const auto [lo, hi] = store.partition(rank);
+    const auto [lo, hi] = model.partition(rank);
     EXPECT_EQ(lo, covered);
-    for (std::int64_t s = lo; s < hi; ++s) EXPECT_EQ(store.owner(s), rank);
+    for (std::int64_t s = lo; s < hi; ++s) EXPECT_EQ(model.owner(s), rank);
     covered = hi;
   }
   EXPECT_EQ(covered, snapshots);

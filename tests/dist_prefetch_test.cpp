@@ -6,7 +6,9 @@
 //  * the bytes-bounded LRU mode;
 //  * the async per-rank staging pipeline: identical ledger to the
 //    synchronous path, bit-exact data, and the overlapped/exposed
-//    split of modeled fetch time;
+//    split of modeled fetch time, classified at delivery;
+//  * reader ranks added after construction run the same request
+//    lifecycle as workers, concurrently with them (a TSan target);
 //  * PrefetchLoader abort/restart stress (a TSan target — this suite
 //    runs under PGTI_SANITIZE=thread via scripts/check.sh);
 //  * DistTrainer with prefetch on vs off: bit-identical losses,
@@ -19,6 +21,7 @@
 //    already-consumed residue).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -58,7 +61,7 @@ TEST(StoreCache, ZeroCapacityCacheDoesNotDoublePriceAnnouncedBatch) {
   const std::uint64_t sb = static_cast<std::uint64_t>(store.snapshot_bytes());
 
   for (int epoch = 0; epoch < 2; ++epoch) {
-    store.fetch_batch(0, batch);
+    store.prefetch_batch(0, batch);
     for (std::int64_t id : batch) {
       const auto [x, y] = store.fetch(0, id);
       const auto [ox, oy] = store.fetch(1, id);
@@ -91,7 +94,7 @@ TEST(StoreCache, AnnouncedSnapshotsArePinnedUntilConsumed) {
   const std::vector<std::int64_t> batch{lo1, lo1 + 1, lo1 + 2};
   const std::uint64_t sb = static_cast<std::uint64_t>(store.snapshot_bytes());
 
-  store.fetch_batch(0, batch);
+  store.prefetch_batch(0, batch);
   for (std::int64_t id : batch) {
     const auto [x, y] = store.fetch(0, id);
     EXPECT_GT(x.numel(), 0);
@@ -119,7 +122,7 @@ TEST(StoreCache, BytesBoundedModeEvictsByBytes) {
   const auto [lo1, hi1] = store.partition(1);
   ASSERT_GE(hi1 - lo1, 3);
   const auto touch = [&](std::int64_t id) {
-    store.fetch_batch(0, {id});
+    store.prefetch_batch(0, {id});
     store.fetch(0, id);
   };
   touch(lo1);      // bytes: 1*sb
@@ -158,6 +161,7 @@ TEST(AsyncPrefetch, StagesAnnouncedBatchBitExactly) {
     EXPECT_EQ(ops::max_abs_diff(x, ox.contiguous()), 0.0f);
     EXPECT_EQ(ops::max_abs_diff(y, oy.contiguous()), 0.0f);
   }
+  store.notify_batch_delivered(0);  // the batch reached its consumer
 
   const dist::StoreStats st = store.stats();
   EXPECT_EQ(st.remote_snapshots, 3u);
@@ -246,6 +250,102 @@ TEST(AsyncPrefetch, AbandonReleasesOrphanedAnnouncements) {
   EXPECT_EQ(st.request_messages, 2u);
   EXPECT_EQ(st.remote_bytes, st.bytes_copied + st.cache_hit_bytes);
   EXPECT_GT(store.drain_modeled_seconds(0), 0.0);
+}
+
+TEST(AsyncPrefetch, ClassifiedAtDeliveryNotAtFetch) {
+  // A prefetch worker fetches a batch ahead of the consumer's compute,
+  // so the overlap window closes when the batch is delivered, not when
+  // it was fetched — the store's only classification rule.
+  data::StandardDataset ds = tiny_dataset();
+  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*consolidate=*/true,
+                        dist::DistStore::kDefaultCacheSnapshots,
+                        /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
+  const auto [lo1, hi1] = store.partition(1);
+  const std::vector<std::int64_t> batch{lo1, lo1 + 1, hi1 - 1};
+
+  store.prefetch_batch(0, batch);
+  for (std::int64_t id : batch) store.fetch(0, id);
+  dist::StoreStats st = store.stats();
+  EXPECT_GT(st.modeled_seconds, 0.0);
+  EXPECT_EQ(st.overlapped_seconds + st.exposed_seconds, 0.0)
+      << "fetched but not yet delivered: still unclassified";
+  EXPECT_EQ(store.drain_modeled_seconds(0), 0.0);
+
+  // The consumer computes on earlier batches before this one arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  store.notify_batch_delivered(0);
+  st = store.stats();
+  EXPECT_GT(st.overlapped_seconds, 0.015);
+  EXPECT_NEAR(st.overlapped_seconds + st.exposed_seconds, st.modeled_seconds, 1e-9);
+  EXPECT_NEAR(store.drain_modeled_seconds(0), st.exposed_seconds, 1e-9);
+
+  store.notify_batch_delivered(0);  // nothing left to classify: a no-op
+  EXPECT_EQ(store.stats().overlapped_seconds, st.overlapped_seconds);
+}
+
+// ------------------------------------------------------ reader ranks
+
+TEST(ReaderRanks, AsyncReadersAreOrdinaryRanksUnderConcurrentTraffic) {
+  // Readers join after construction, while the workers' staging
+  // threads are starting up.  Staging threads never read the rank
+  // table, so this is race-free (a TSan target: this suite runs under
+  // PGTI_SANITIZE=thread).  Each reader then runs the same request
+  // lifecycle as a worker, on its own staging thread, concurrently
+  // with worker traffic.
+  data::StandardDataset ds = tiny_dataset();
+  dist::DistStore store(ds, 2, dist::NetworkModel{}, /*consolidate=*/true,
+                        /*cache_snapshots_per_rank=*/4,
+                        /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
+  const int reader_a = store.add_reader();
+  const int reader_b = store.add_reader();
+  EXPECT_EQ(reader_a, 2);
+  EXPECT_EQ(reader_b, 3);
+  const auto [rlo, rhi] = store.partition(reader_a);
+  EXPECT_EQ(rlo, rhi) << "readers own nothing";
+
+  const auto [lo0, hi0] = store.partition(0);
+  const auto [lo1, hi1] = store.partition(1);
+  ASSERT_GE(hi0 - lo0, 6);
+  ASSERT_GE(hi1 - lo1, 6);
+  // Every batch is remote for the rank that announces it.
+  const std::vector<std::vector<std::int64_t>> from0{{lo0, lo0 + 1, lo0 + 2},
+                                                     {lo0 + 3, lo0 + 4, lo0 + 5}};
+  const std::vector<std::vector<std::int64_t>> from1{{lo1, lo1 + 1, lo1 + 2},
+                                                     {lo1 + 3, lo1 + 4, lo1 + 5}};
+  const std::vector<std::vector<std::int64_t>> mixed{{lo0, lo1, lo0 + 4},
+                                                     {lo1 + 2, lo0 + 1, lo1 + 5}};
+  constexpr int kRounds = 6;
+  std::atomic<int> mismatches{0};
+  const auto drive = [&](int rank, const std::vector<std::vector<std::int64_t>>& batches) {
+    for (int round = 0; round < kRounds; ++round) {
+      for (const auto& batch : batches) {
+        store.prefetch_batch(rank, batch);
+        for (std::int64_t id : batch) {
+          const auto [x, y] = store.fetch(rank, id);
+          const auto [ox, oy] = ds.get(id);
+          if (ops::max_abs_diff(x, ox.contiguous()) != 0.0f ||
+              ops::max_abs_diff(y, oy.contiguous()) != 0.0f) {
+            ++mismatches;
+          }
+        }
+        store.notify_batch_delivered(rank);
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back(drive, 0, from1);
+  threads.emplace_back(drive, 1, from0);
+  threads.emplace_back(drive, reader_a, mixed);
+  threads.emplace_back(drive, reader_b, from0);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const dist::StoreStats st = store.stats();
+  EXPECT_EQ(st.local_snapshots, 0u);
+  EXPECT_EQ(st.remote_snapshots, 4u * kRounds * 2u * 3u);
+  EXPECT_EQ(st.remote_bytes, st.bytes_copied + st.cache_hit_bytes);
+  EXPECT_NEAR(st.overlapped_seconds + st.exposed_seconds, st.modeled_seconds, 1e-9)
+      << "every request was delivered, readers' included";
 }
 
 // ------------------------------------------ PrefetchLoader stress
@@ -484,7 +584,7 @@ TEST(ScheduleAwareEviction, NearerScheduledSnapshotOutlivesConsumedResidue) {
   const std::int64_t a = lo1, b = lo1 + 1, c = lo1 + 2;
   const std::uint64_t sb = static_cast<std::uint64_t>(store.snapshot_bytes());
   const auto touch = [&](std::int64_t id) {
-    store.fetch_batch(0, {id});
+    store.prefetch_batch(0, {id});
     store.fetch(0, id);
   };
 
@@ -519,7 +619,7 @@ TEST(ScheduleAwareEviction, CrossEpochScheduleKeepsBoundaryResidueHot) {
   // plain LRU, which at tight capacity is exactly backwards.
   data::StandardDataset ds = tiny_dataset();
   const auto touch = [](dist::DistStore& store, std::int64_t id) {
-    store.fetch_batch(0, {id});
+    store.prefetch_batch(0, {id});
     store.fetch(0, id);
   };
 
@@ -537,7 +637,7 @@ TEST(ScheduleAwareEviction, CrossEpochScheduleKeepsBoundaryResidueHot) {
     store.announce_schedule(0, {n, r, x, n});
     touch(store, n);
     touch(store, r);
-    store.fetch_batch(0, {x});  // boundary eviction: r out, n protected
+    store.prefetch_batch(0, {x});  // boundary eviction: r out, n protected
     EXPECT_EQ(store.stats().cache_evictions, 1u);
     store.abandon_prefetches(0);  // schedule survives the boundary
     store.announce_schedule(0, {n});  // epoch 2 re-announces as usual
@@ -562,7 +662,7 @@ TEST(ScheduleAwareEviction, CrossEpochScheduleKeepsBoundaryResidueHot) {
     store.announce_schedule(0, {n, r, x});
     touch(store, n);
     touch(store, r);
-    store.fetch_batch(0, {x});
+    store.prefetch_batch(0, {x});
     EXPECT_EQ(store.stats().cache_evictions, 1u);
     store.abandon_prefetches(0);
     store.announce_schedule(0, {n});
@@ -580,7 +680,7 @@ TEST(ScheduleAwareEviction, WithoutScheduleEvictionDegradesToPlainLru) {
   const auto [lo1, hi1] = store.partition(1);
   ASSERT_GE(hi1 - lo1, 3);
   const auto touch = [&](std::int64_t id) {
-    store.fetch_batch(0, {id});
+    store.prefetch_batch(0, {id});
     store.fetch(0, id);
   };
   touch(lo1);      // LRU back

@@ -300,62 +300,74 @@ TEST(NetworkModel, RingAsymptoteBoundedBy2x) {
   EXPECT_LE(t128, bound * 1.001);
 }
 
-// ------------------------------------------------------------------- store
+// ------------------------------------------------------- fetch model
 
-TEST(DistStore, ContiguousOwnership) {
-  DistStore store(100, 1000, 4, NetworkModel{});
-  EXPECT_EQ(store.owner(0), 0);
-  EXPECT_EQ(store.owner(24), 0);
-  EXPECT_EQ(store.owner(25), 1);
-  EXPECT_EQ(store.owner(99), 3);
-  EXPECT_THROW(store.owner(100), std::out_of_range);
-  const auto [lo, hi] = store.partition(2);
+TEST(FetchModel, ContiguousOwnership) {
+  FetchModel model(100, 1000, 4, NetworkModel{});
+  EXPECT_EQ(model.owner(0), 0);
+  EXPECT_EQ(model.owner(24), 0);
+  EXPECT_EQ(model.owner(25), 1);
+  EXPECT_EQ(model.owner(99), 3);
+  EXPECT_THROW(model.owner(100), std::out_of_range);
+  const auto [lo, hi] = model.partition(2);
   EXPECT_EQ(lo, 50);
   EXPECT_EQ(hi, 75);
+  // Ranks past the workers own nothing; negative ranks do not exist.
+  const auto [rlo, rhi] = model.partition(4);
+  EXPECT_EQ(rlo, rhi);
+  EXPECT_THROW(model.partition(-1), std::out_of_range);
 }
 
-TEST(DistStore, LocalFetchesAreFree) {
-  DistStore store(100, 1000, 4, NetworkModel{});
-  const double s = store.fetch_batch(0, {0, 1, 2, 24});
-  EXPECT_EQ(s, 0.0);
-  EXPECT_EQ(store.stats().remote_snapshots, 0u);
-  EXPECT_EQ(store.stats().local_snapshots, 4u);
+TEST(FetchModel, LocalFetchesAreFree) {
+  FetchModel model(100, 1000, 4, NetworkModel{});
+  const FetchModel::Price p = model.price(0, {0, 1, 2, 24});
+  EXPECT_EQ(p.seconds, 0.0);
+  EXPECT_EQ(p.remote, 0u);
+  EXPECT_EQ(p.local, 4u);
+  EXPECT_TRUE(p.remote_ids.empty());
 }
 
-TEST(DistStore, RemoteFetchesCountBytes) {
-  DistStore store(100, 1000, 4, NetworkModel{});
-  store.fetch_batch(0, {30, 31, 60});
-  const StoreStats st = store.stats();
-  EXPECT_EQ(st.remote_snapshots, 3u);
-  EXPECT_EQ(st.remote_bytes, 3000u);
-  EXPECT_GT(st.modeled_seconds, 0.0);
+TEST(FetchModel, RemoteFetchesCountBytes) {
+  FetchModel model(100, 1000, 4, NetworkModel{});
+  const FetchModel::Price p = model.price(0, {30, 31, 60});
+  EXPECT_EQ(p.remote, 3u);
+  EXPECT_EQ(p.bytes, 3000u);
+  EXPECT_EQ(p.remote_ids, (std::vector<std::int64_t>{30, 31, 60}));
+  EXPECT_GT(p.seconds, 0.0);
 }
 
-TEST(DistStore, ConsolidatedRequestsOnePerOwner) {
-  DistStore store(100, 1000, 4, NetworkModel{}, /*consolidate=*/true);
-  store.fetch_batch(0, {30, 31, 32, 60, 61});  // owners 1 and 2
-  EXPECT_EQ(store.stats().request_messages, 2u);
+TEST(FetchModel, ConsolidatedRequestsOnePerOwner) {
+  FetchModel model(100, 1000, 4, NetworkModel{}, /*consolidate=*/true);
+  EXPECT_EQ(model.price(0, {30, 31, 32, 60, 61}).messages, 2u);  // owners 1 and 2
 }
 
-TEST(DistStore, PerItemRequestsWithoutConsolidation) {
-  DistStore store(100, 1000, 4, NetworkModel{}, /*consolidate=*/false);
-  store.fetch_batch(0, {30, 31, 32, 60, 61});
-  EXPECT_EQ(store.stats().request_messages, 5u);
+TEST(FetchModel, PerItemRequestsWithoutConsolidation) {
+  FetchModel model(100, 1000, 4, NetworkModel{}, /*consolidate=*/false);
+  EXPECT_EQ(model.price(0, {30, 31, 32, 60, 61}).messages, 5u);
 }
 
-TEST(DistStore, ConsolidationIsCheaper) {
+TEST(FetchModel, ConsolidationIsCheaper) {
   // The paper's baseline optimization: batch requests beat per-item.
   NetworkModel net;
-  DistStore batched(10000, 100000, 8, net, true);
-  DistStore per_item(10000, 100000, 8, net, false);
+  FetchModel batched(10000, 100000, 8, net, true);
+  FetchModel per_item(10000, 100000, 8, net, false);
   std::vector<std::int64_t> batch;
   for (std::int64_t i = 5000; i < 5064; ++i) batch.push_back(i);
-  const double t_batched = batched.fetch_batch(0, batch);
-  const double t_item = per_item.fetch_batch(0, batch);
-  EXPECT_LT(t_batched, t_item);
+  EXPECT_LT(batched.price(0, batch).seconds, per_item.price(0, batch).seconds);
 }
 
-// ------------------------------------------------- store (materialized)
+TEST(FetchModel, ReaderRankPaysForEveryAccess) {
+  // A rank past the workers owns nothing, so a batch a worker gets for
+  // free is fully remote for it.
+  FetchModel model(100, 1000, 4, NetworkModel{});
+  const FetchModel::Price p = model.price(/*rank=*/4, {0, 1, 2, 24});
+  EXPECT_EQ(p.local, 0u);
+  EXPECT_EQ(p.remote, 4u);
+  EXPECT_EQ(p.messages, 1u);  // one owner
+  EXPECT_GT(p.seconds, 0.0);
+}
+
+// ------------------------------------------------------------- store
 
 data::StandardDataset tiny_dataset() {
   data::DatasetSpec spec = data::spec_for(data::DatasetKind::kPemsBay).scaled(64);
@@ -368,7 +380,6 @@ data::StandardDataset tiny_dataset() {
 TEST(DistStoreMaterialized, LocalFetchIsZeroCopyShardView) {
   data::StandardDataset ds = tiny_dataset();
   DistStore store(ds, 4, NetworkModel{});
-  ASSERT_TRUE(store.materialized());
   const auto [lo, hi] = store.partition(1);
   ASSERT_LT(lo, hi);
   const auto [x, y] = store.fetch(/*rank=*/1, lo);
@@ -384,10 +395,11 @@ TEST(DistStoreMaterialized, RemoteFetchMovesRealBytesBitExactly) {
   DistStore store(ds, 4, NetworkModel{});
   const auto [lo1, hi1] = store.partition(1);
   std::vector<std::int64_t> batch{lo1, lo1 + 1, hi1 - 1};
-  const double seconds = store.fetch_batch(/*rank=*/0, batch);
-  EXPECT_GT(seconds, 0.0);
+  store.prefetch_batch(/*rank=*/0, batch);
 
   const StoreStats st = store.stats();
+  EXPECT_EQ(st.modeled_seconds, store.model().price(0, batch).seconds);
+  EXPECT_GT(st.modeled_seconds, 0.0);
   EXPECT_EQ(st.remote_snapshots, 3u);
   EXPECT_EQ(st.cache_hits, 0u);
   // The ledger's modeled bytes are now backed by bytes that really
@@ -414,15 +426,38 @@ TEST(DistStoreMaterialized, CacheHitsAbsorbRepeatedFetches) {
   const auto [lo1, hi1] = store.partition(1);
   (void)hi1;
   std::vector<std::int64_t> batch{lo1, lo1 + 1};
-  store.fetch_batch(0, batch);
+  const auto epoch = [&] {
+    store.prefetch_batch(0, batch);
+    for (std::int64_t id : batch) store.fetch(0, id);
+  };
+  epoch();
   const std::uint64_t copied_once = store.stats().bytes_copied;
-  store.fetch_batch(0, batch);  // second epoch touching the same ids
+  epoch();  // second epoch touching the same ids
   const StoreStats st = store.stats();
   EXPECT_EQ(st.bytes_copied, copied_once) << "cached snapshots must not re-copy";
   EXPECT_EQ(st.cache_hits, 2u);
   // The model still prices every remote access; the invariant splits
   // it into physically-copied and cache-absorbed bytes exactly.
   EXPECT_EQ(st.remote_bytes, st.bytes_copied + st.cache_hit_bytes);
+}
+
+TEST(DistStoreMaterialized, SecondAnnouncementBeforeConsumptionThrows) {
+  // Announce once, consume once: the same rule for inline and
+  // asynchronous staging, since both run the same request lifecycle.
+  for (bool async : {false, true}) {
+    data::StandardDataset ds = tiny_dataset();
+    DistStore store(ds, 4, NetworkModel{}, /*consolidate=*/true,
+                    DistStore::kDefaultCacheSnapshots, /*cache_bytes_per_rank=*/0,
+                    async);
+    const auto [lo1, hi1] = store.partition(1);
+    (void)hi1;
+    store.prefetch_batch(0, {lo1});
+    EXPECT_THROW(store.prefetch_batch(0, {lo1}), std::logic_error) << async;
+    store.fetch(0, lo1);
+    EXPECT_NO_THROW(store.prefetch_batch(0, {lo1})) << async;
+    store.fetch(0, lo1);
+    EXPECT_EQ(store.stats().remote_snapshots, 2u) << "the refused one is not priced";
+  }
 }
 
 TEST(DistStoreMaterialized, LruEvictsLeastRecentlyUsed) {
@@ -435,7 +470,7 @@ TEST(DistStoreMaterialized, LruEvictsLeastRecentlyUsed) {
   // fetch() (announced-but-unconsumed snapshots are pinned and exempt
   // from eviction, so capacity only bites once batches are consumed).
   const auto touch = [&](std::int64_t id) {
-    store.fetch_batch(0, {id});
+    store.prefetch_batch(0, {id});
     store.fetch(0, id);
   };
   touch(lo1);          // cache: {lo1}
@@ -464,16 +499,17 @@ TEST(DistStoreMaterialized, UnannouncedRemoteGetFaultsInAsOwnRequest) {
   EXPECT_EQ(st.remote_snapshots, 1u);
   EXPECT_EQ(st.request_messages, 1u);
   EXPECT_EQ(st.bytes_copied, st.remote_bytes);
+  EXPECT_EQ(st.exposed_seconds, st.modeled_seconds) << "nothing hid it";
   EXPECT_GT(store.drain_modeled_seconds(0), 0.0);
   EXPECT_EQ(store.drain_modeled_seconds(0), 0.0) << "drain must reset";
-}
 
-TEST(DistStoreMaterialized, LedgerOnlyStoreRefusesDataAccess) {
-  DistStore store(100, 1000, 4, NetworkModel{});
-  EXPECT_FALSE(store.materialized());
-  EXPECT_THROW(store.fetch(0, 30), std::logic_error);
-  EXPECT_THROW(store.shard_x(0), std::logic_error);
-  EXPECT_THROW(store.scaler(), std::logic_error);
+  // A resident but unannounced snapshot is still its own priced
+  // request; the cache absorbs its bytes.
+  store.fetch(0, lo2);
+  const StoreStats again = store.stats();
+  EXPECT_EQ(again.remote_snapshots, 2u);
+  EXPECT_EQ(again.cache_hits, 1u);
+  EXPECT_EQ(again.remote_bytes, again.bytes_copied + again.cache_hit_bytes);
 }
 
 // ---------------------------------------------------------------- DDP bucket

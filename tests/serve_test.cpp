@@ -479,5 +479,51 @@ TEST(ServeHotWindow, ReaderRankKeepsHotWindowResidentUnderPressure) {
   }
 }
 
+TEST(ServeHotWindow, AsyncReaderMatchesInlineReaderAndClosesTheSplit) {
+  // A reader rank on a store that stages asynchronously is an ordinary
+  // rank: it gets its own staging thread, the engine's per-batch
+  // delivery notice classifies every request it announced, and the
+  // forecasts are byte-identical to an inline-staged reader's.
+  Rig rig;
+  rig.slot.publish(*rig.live.model, 0);
+  const auto run = [&](bool async, std::vector<Tensor>& out) {
+    data::StandardDataset ds(rig.raw, rig.spec);
+    dist::DistStore store(std::move(ds), /*world=*/2, dist::NetworkModel{},
+                          /*consolidate=*/true, /*cache_snapshots=*/10,
+                          /*cache_bytes=*/0, async);
+    const int reader = store.add_reader();
+    serve::EngineConfig cfg;
+    cfg.hot_window = 8;
+    serve::InferenceEngine engine(rig.slot, store, reader, cfg);
+    engine.start();
+    const std::int64_t head = store.num_snapshots() - 1;
+    for (std::int64_t i = 0; i < 12; ++i) {
+      serve::ForecastRequest req;
+      req.snapshot = head - (i * 5) % 40;
+      req.horizon = 2;
+      out.push_back(engine.submit(req).get().prediction);
+    }
+    engine.stop();
+    return store.stats();
+  };
+  std::vector<Tensor> inline_out;
+  std::vector<Tensor> async_out;
+  const dist::StoreStats s = run(false, inline_out);
+  const dist::StoreStats a = run(true, async_out);
+  ASSERT_EQ(async_out.size(), inline_out.size());
+  for (std::size_t i = 0; i < inline_out.size(); ++i) {
+    EXPECT_TRUE(same_bits(async_out[i], inline_out[i])) << "request " << i;
+  }
+  EXPECT_EQ(a.remote_snapshots, s.remote_snapshots);
+  EXPECT_EQ(a.request_messages, s.request_messages);
+  EXPECT_EQ(a.bytes_copied, s.bytes_copied);
+  EXPECT_EQ(a.cache_hits, s.cache_hits);
+  EXPECT_EQ(a.remote_bytes, a.bytes_copied + a.cache_hit_bytes);
+  EXPECT_GT(a.modeled_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(s.exposed_seconds, s.modeled_seconds) << "inline staging hides nothing";
+  EXPECT_NEAR(a.overlapped_seconds + a.exposed_seconds, a.modeled_seconds, 1e-9)
+      << "every announced request was delivered and classified";
+}
+
 }  // namespace
 }  // namespace pgti
