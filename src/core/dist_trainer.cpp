@@ -323,7 +323,7 @@ DistResult DistTrainer::run() {
     // time is charged.  The overlap split is classified when batches
     // reach the consumer (the per-batch pipeline hook below).
     store.emplace(data::StandardDataset(raw, spec), cfg_.world, cluster.network(),
-                  /*consolidate_requests=*/true, cfg_.store_cache_snapshots,
+                  cfg_.store_cache_snapshots,
                   cfg_.store_cache_bytes,
                   /*async_prefetch=*/cfg_.prefetch_depth > 0);
   } else if (cfg_.mode == DistMode::kGeneralizedIndex) {

@@ -52,7 +52,8 @@ class SnapshotProvider {
   /// announced request here: when a prefetch worker assembles batches
   /// ahead of compute, the wall window that really hides a transfer
   /// runs from its announcement to the batch's *delivery*, not to the
-  /// worker's (much earlier) need.
+  /// worker's (much earlier) need.  A consumer that fetched the batch
+  /// itself waited from its first fetch on, so its window ends there.
   /// Default: ignore.
   virtual void notify_batch_delivered(int rank) { (void)rank; }
 

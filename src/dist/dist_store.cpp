@@ -20,10 +20,10 @@ constexpr double kNeverWaited = std::numeric_limits<double>::infinity();
 }  // namespace
 
 DistStore::DistStore(data::StandardDataset dataset, int world, NetworkModel network,
-                     bool consolidate_requests, std::int64_t cache_snapshots_per_rank,
+                     std::int64_t cache_snapshots_per_rank,
                      std::int64_t cache_bytes_per_rank, bool async_prefetch)
     : model_(dataset.num_snapshots(), spec_snapshot_bytes(dataset.spec()), world,
-             network, consolidate_requests),
+             network, /*consolidate_requests=*/true),
       dataset_(std::move(dataset)),
       // The store owns its cache defaults: negative = auto, sized to a
       // couple of batches of this dataset's spec (the lookahead working
@@ -35,6 +35,16 @@ DistStore::DistStore(data::StandardDataset dataset, int world, NetworkModel netw
       cache_bytes_capacity_(std::max<std::int64_t>(0, cache_bytes_per_rank)),
       async_prefetch_(async_prefetch) {
   for (int r = 0; r < world; ++r) add_rank();
+}
+
+DistStore::DistStore(data::StandardDataset dataset, int world, NetworkModel network,
+                     bool consolidate_requests, std::int64_t cache_snapshots_per_rank,
+                     std::int64_t cache_bytes_per_rank, bool async_prefetch)
+    : DistStore(std::move(dataset), world, network, cache_snapshots_per_rank,
+                cache_bytes_per_rank, async_prefetch) {
+  if (!consolidate_requests) {
+    throw std::invalid_argument("DistStore: requests are always consolidated");
+  }
 }
 
 DistStore::~DistStore() {
@@ -341,6 +351,8 @@ std::pair<Tensor, Tensor> DistStore::fetch(int rank, std::int64_t i) {
     }
     if (!req->classified && !req->needed) {
       req->needed = true;
+      req->needed_at = std::chrono::steady_clock::now();
+      req->needed_by = std::this_thread::get_id();
       rs.awaiting_delivery.push_back(req);
     }
     // Waiting on req->staged — not on the id becoming resident — keeps
@@ -382,10 +394,15 @@ void DistStore::notify_batch_delivered(int rank) {
   if (rs.awaiting_delivery.empty()) return;
   const std::shared_ptr<Request> req = std::move(rs.awaiting_delivery.front());
   rs.awaiting_delivery.pop_front();
-  classify_locked(rs, *req,
-                  std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                req->announced_at)
-                      .count());
+  // A prefetch worker fetched the batch ahead of the consumer's
+  // compute, so the window runs to this delivery.  A consumer that
+  // fetched the batch itself was blocked from its first fetch on, and
+  // that wait hid nothing.
+  const auto needed_at = req->needed_by == std::this_thread::get_id()
+                             ? req->needed_at
+                             : std::chrono::steady_clock::now();
+  classify_locked(
+      rs, *req, std::chrono::duration<double>(needed_at - req->announced_at).count());
 }
 
 void DistStore::announce_schedule(int rank, const std::vector<std::int64_t>& ids) {

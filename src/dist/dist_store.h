@@ -37,16 +37,19 @@
 //      (async_prefetch), inline on the announcing thread otherwise.
 //   3. consume — each announced id is taken by exactly one fetch(),
 //      which waits for the request's staging and unpins the id.
-//   4. classify — the request's modeled seconds split into overlapped
-//      and exposed: exposed = max(0, modeled - window), where the
-//      window is the wall time from announcement to the *delivery* of
-//      the batch that first needed it (notify_batch_delivered, on the
-//      consumer).  A prefetch worker may fetch a batch up to `depth`
-//      batches before the consumer computes on it, so the window
-//      closes at delivery, not at the worker's fetch.  Inline staging
-//      blocks the announcer, so those requests are exposed in full at
-//      announcement; requests never delivered (abandon_prefetches,
-//      destruction) were never waited on and are fully overlapped.
+//   4. classify — at the delivery of the batch that first needed the
+//      request (notify_batch_delivered, on the consumer), its modeled
+//      seconds split into overlapped and exposed: exposed = max(0,
+//      modeled - window), where the window runs from announcement to
+//      the consumer's first need.  When a prefetch worker fetched the
+//      batch, up to `depth` batches before the consumer computes on
+//      it, that need is the delivery.  When the delivering thread
+//      fetched the batch itself, it is that thread's first fetch of
+//      the request: its wait inside fetch() hid nothing.  Inline
+//      staging blocks the announcer, so those requests are exposed in
+//      full at announcement; requests never delivered
+//      (abandon_prefetches, destruction) were never waited on and are
+//      fully overlapped.
 //
 // Announced snapshots stay pinned until consumed, so even a
 // zero-capacity or byte-tight cache never evicts a snapshot between
@@ -118,8 +121,8 @@ class DistStore final : public data::SnapshotProvider {
   static constexpr std::int64_t kDefaultCacheSnapshots = 64;
 
   /// Takes ownership of the dataset and partitions its snapshots
-  /// contiguously across `world` worker ranks.
-  /// `consolidate_requests` is the FetchModel's pricing rule.
+  /// contiguously across `world` worker ranks.  Remote accesses are
+  /// priced as consolidated requests, one message per owning peer.
   /// `cache_snapshots_per_rank` bounds each rank's remote cache in
   /// snapshots (0 is a valid zero-capacity cache: announced snapshots
   /// survive until consumed, then evict immediately; negative = auto —
@@ -129,9 +132,17 @@ class DistStore final : public data::SnapshotProvider {
   /// on top (0 = no byte bound).  `async_prefetch` gives every rank a
   /// staging thread, so prefetch_batch returns before its copies run.
   DistStore(data::StandardDataset dataset, int world, NetworkModel network,
-            bool consolidate_requests = true,
             std::int64_t cache_snapshots_per_rank = -1,
             std::int64_t cache_bytes_per_rank = 0, bool async_prefetch = false);
+
+  /// Source compatibility for callers that still pass the former
+  /// `consolidate_requests` argument.  Requests are always
+  /// consolidated, so it must be true (std::invalid_argument
+  /// otherwise).
+  [[deprecated("requests are always consolidated; drop the argument")]]
+  DistStore(data::StandardDataset dataset, int world, NetworkModel network,
+            bool consolidate_requests, std::int64_t cache_snapshots_per_rank,
+            std::int64_t cache_bytes_per_rank, bool async_prefetch);
 
   ~DistStore() override;
 
@@ -164,10 +175,10 @@ class DistStore final : public data::SnapshotProvider {
   Tensor shard_x(int rank) const;
   Tensor shard_y(int rank) const;
 
-  /// Classification is always delivery-driven (see the request
-  /// lifecycle above); this switch no longer selects anything and is
-  /// kept so existing callers compile.
-  [[deprecated("classification is always at delivery")]]
+  /// Classification follows one rule (see the request lifecycle
+  /// above); this switch no longer selects anything and is kept only
+  /// so existing callers compile.
+  [[deprecated("classification has one rule; drop the call")]]
   void set_delivery_driven_classification(bool) {}
 
   // --- data::SnapshotProvider -----------------------------------------
@@ -180,8 +191,10 @@ class DistStore final : public data::SnapshotProvider {
   /// Classifies the oldest consumed-but-unclassified request of `rank`
   /// (FIFO, one per delivery).  Requests are announced and consumed in
   /// batch order and a batch without remote snapshots creates none, so
-  /// a request is classified at or before its own delivery — never
-  /// overstating overlap.
+  /// a request is classified at or before its own delivery.  The
+  /// window closes at the calling thread's own first fetch of the
+  /// request when it made one, so a consumer's blocked wait never
+  /// counts as overlap.
   void notify_batch_delivered(int rank) override;
   /// Installs `rank`'s announced consumption order for schedule-aware
   /// eviction (replaces any previous schedule; ids may repeat —
@@ -213,6 +226,9 @@ class DistStore final : public data::SnapshotProvider {
     std::vector<std::int64_t> remote_ids;
     double modeled_seconds = 0.0;
     std::chrono::steady_clock::time_point announced_at;
+    /// First fetch of the request, and the thread that made it.
+    std::chrono::steady_clock::time_point needed_at;
+    std::thread::id needed_by;
     bool staged = false;
     bool needed = false;  ///< a fetch consumed it; queued for delivery
     bool classified = false;

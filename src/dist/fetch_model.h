@@ -51,8 +51,6 @@ class FetchModel {
 
   std::int64_t num_snapshots() const noexcept { return num_snapshots_; }
   std::int64_t snapshot_bytes() const noexcept { return snapshot_bytes_; }
-  int world() const noexcept { return world_; }
-  bool consolidates_requests() const noexcept { return consolidate_requests_; }
 
  private:
   std::int64_t num_snapshots_;

@@ -423,7 +423,7 @@ TEST(ArenaStaging, DistStoreStagerRecyclesRemoteCloneBlocks) {
   {
     data::StandardDataset dsa(raw, spec);
     dist::DistStore store(std::move(dsa), /*world=*/2, dist::NetworkModel{},
-                          /*consolidate=*/true, /*cache_snapshots=*/0,
+                          /*cache_snapshots=*/0,
                           /*cache_bytes=*/0, /*async_prefetch=*/true);
     cycles(store, 0, 2);  // planning cycle + one recycle pass
     const std::uint64_t h0 = MemoryTracker::instance().heap_allocs_total();
@@ -435,7 +435,7 @@ TEST(ArenaStaging, DistStoreStagerRecyclesRemoteCloneBlocks) {
     ArenaToggleGuard guard(false);
     data::StandardDataset dsb(raw, spec);
     dist::DistStore store(std::move(dsb), /*world=*/2, dist::NetworkModel{},
-                          /*consolidate=*/true, /*cache_snapshots=*/0,
+                          /*cache_snapshots=*/0,
                           /*cache_bytes=*/0, /*async_prefetch=*/true);
     cycles(store, 0, 2);
     const std::uint64_t h0 = MemoryTracker::instance().heap_allocs_total();

@@ -53,8 +53,7 @@ TEST(StoreCache, ZeroCapacityCacheDoesNotDoublePriceAnnouncedBatch) {
   // single-snapshot request — double-counting remote traffic versus
   // the consolidated model.
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*consolidate=*/true,
-                        /*cache_snapshots_per_rank=*/0);
+  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/0);
   const auto [lo1, hi1] = store.partition(1);
   ASSERT_GE(hi1 - lo1, 3);
   const std::vector<std::int64_t> batch{lo1, lo1 + 1, lo1 + 2};
@@ -87,8 +86,7 @@ TEST(StoreCache, AnnouncedSnapshotsArePinnedUntilConsumed) {
   // Capacity 1, batch of 3: all three staged snapshots must coexist
   // (pinned) until fetch() consumes them, then capacity bites.
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*consolidate=*/true,
-                        /*cache_snapshots_per_rank=*/1);
+  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/1);
   const auto [lo1, hi1] = store.partition(1);
   ASSERT_GE(hi1 - lo1, 3);
   const std::vector<std::int64_t> batch{lo1, lo1 + 1, lo1 + 2};
@@ -115,7 +113,7 @@ TEST(StoreCache, BytesBoundedModeEvictsByBytes) {
                           static_cast<std::int64_t>(sizeof(float));
   // Count bound slack (the whole store), byte budget of two snapshots:
   // the byte bound is what evicts.
-  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*consolidate=*/true,
+  dist::DistStore store(ds, 4, dist::NetworkModel{},
                         /*cache_snapshots_per_rank=*/ds.num_snapshots(),
                         /*cache_bytes_per_rank=*/2 * sb);
   ASSERT_EQ(store.snapshot_bytes(), sb);
@@ -142,7 +140,7 @@ TEST(StoreCache, BytesBoundedModeEvictsByBytes) {
 
 TEST(AsyncPrefetch, StagesAnnouncedBatchBitExactly) {
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*consolidate=*/true,
+  dist::DistStore store(ds, 4, dist::NetworkModel{},
                         dist::DistStore::kDefaultCacheSnapshots,
                         /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
   ASSERT_TRUE(store.async_prefetch());
@@ -186,7 +184,6 @@ TEST(AsyncPrefetch, LedgerIdenticalToSynchronousPath) {
   data::StandardDataset ds_async = tiny_dataset();
   dist::DistStore sync_store(ds_sync, 4, dist::NetworkModel{});
   dist::DistStore async_store(ds_async, 4, dist::NetworkModel{},
-                              /*consolidate=*/true,
                               dist::DistStore::kDefaultCacheSnapshots,
                               /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
   const auto [lo1, hi1] = sync_store.partition(1);
@@ -201,6 +198,7 @@ TEST(AsyncPrefetch, LedgerIdenticalToSynchronousPath) {
     for (const auto& batch : batches) {
       store->prefetch_batch(0, batch);
       for (std::int64_t id : batch) store->fetch(0, id);
+      store->notify_batch_delivered(0);
     }
   }
   const dist::StoreStats a = sync_store.stats();
@@ -213,16 +211,18 @@ TEST(AsyncPrefetch, LedgerIdenticalToSynchronousPath) {
   EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.cache_hit_bytes, b.cache_hit_bytes);
   EXPECT_DOUBLE_EQ(a.modeled_seconds, b.modeled_seconds);
-  // Sync exposes everything; async must never expose more.
+  // Sync exposes everything; async, delivered batch by batch, closes
+  // the same split and never exposes more.
   EXPECT_DOUBLE_EQ(a.exposed_seconds, a.modeled_seconds);
   EXPECT_DOUBLE_EQ(a.overlapped_seconds, 0.0);
-  EXPECT_LE(b.exposed_seconds, b.modeled_seconds);
+  EXPECT_GT(b.exposed_seconds, 0.0);
+  EXPECT_LE(b.exposed_seconds, a.exposed_seconds);
+  EXPECT_NEAR(b.overlapped_seconds + b.exposed_seconds, b.modeled_seconds, 1e-9);
 }
 
 TEST(AsyncPrefetch, AbandonReleasesOrphanedAnnouncements) {
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*consolidate=*/true,
-                        /*cache_snapshots_per_rank=*/0,
+  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/0,
                         /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
   const auto [lo1, hi1] = store.partition(1);
   (void)hi1;
@@ -255,16 +255,19 @@ TEST(AsyncPrefetch, AbandonReleasesOrphanedAnnouncements) {
 TEST(AsyncPrefetch, ClassifiedAtDeliveryNotAtFetch) {
   // A prefetch worker fetches a batch ahead of the consumer's compute,
   // so the overlap window closes when the batch is delivered, not when
-  // it was fetched — the store's only classification rule.
+  // the worker fetched it.
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*consolidate=*/true,
+  dist::DistStore store(ds, 4, dist::NetworkModel{},
                         dist::DistStore::kDefaultCacheSnapshots,
                         /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
   const auto [lo1, hi1] = store.partition(1);
   const std::vector<std::int64_t> batch{lo1, lo1 + 1, hi1 - 1};
 
-  store.prefetch_batch(0, batch);
-  for (std::int64_t id : batch) store.fetch(0, id);
+  std::thread worker([&] {
+    store.prefetch_batch(0, batch);
+    for (std::int64_t id : batch) store.fetch(0, id);
+  });
+  worker.join();
   dist::StoreStats st = store.stats();
   EXPECT_GT(st.modeled_seconds, 0.0);
   EXPECT_EQ(st.overlapped_seconds + st.exposed_seconds, 0.0)
@@ -283,6 +286,29 @@ TEST(AsyncPrefetch, ClassifiedAtDeliveryNotAtFetch) {
   EXPECT_EQ(store.stats().overlapped_seconds, st.overlapped_seconds);
 }
 
+TEST(AsyncPrefetch, ConsumerThatFetchesItselfHidesNothingByWaiting) {
+  // The serving engine's pattern: one thread announces, fetches at
+  // once, and delivers.  Its time between the first fetch and the
+  // delivery is its own blocked wait (here stretched to 20 ms), so the
+  // window closes at that first fetch and the request stays exposed.
+  data::StandardDataset ds = tiny_dataset();
+  dist::DistStore store(ds, 4, dist::NetworkModel{},
+                        dist::DistStore::kDefaultCacheSnapshots,
+                        /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
+  const auto [lo1, hi1] = store.partition(1);
+  const std::vector<std::int64_t> batch{lo1, lo1 + 1, hi1 - 1};
+
+  store.prefetch_batch(0, batch);
+  for (std::int64_t id : batch) store.fetch(0, id);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  store.notify_batch_delivered(0);
+  const dist::StoreStats st = store.stats();
+  EXPECT_GT(st.modeled_seconds, 0.015);
+  EXPECT_LT(st.overlapped_seconds, 0.015) << "the wait after the first fetch is not overlap";
+  EXPECT_NEAR(st.overlapped_seconds + st.exposed_seconds, st.modeled_seconds, 1e-9);
+  EXPECT_NEAR(store.drain_modeled_seconds(0), st.exposed_seconds, 1e-9);
+}
+
 // ------------------------------------------------------ reader ranks
 
 TEST(ReaderRanks, AsyncReadersAreOrdinaryRanksUnderConcurrentTraffic) {
@@ -293,8 +319,7 @@ TEST(ReaderRanks, AsyncReadersAreOrdinaryRanksUnderConcurrentTraffic) {
   // lifecycle as a worker, on its own staging thread, concurrently
   // with worker traffic.
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 2, dist::NetworkModel{}, /*consolidate=*/true,
-                        /*cache_snapshots_per_rank=*/4,
+  dist::DistStore store(ds, 2, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/4,
                         /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
   const int reader_a = store.add_reader();
   const int reader_b = store.add_reader();
@@ -577,8 +602,7 @@ TEST(ScheduleAwareEviction, NearerScheduledSnapshotOutlivesConsumedResidue) {
   // only in the past) is available — the victim plain LRU would pick
   // here is exactly the wrong one.
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*consolidate=*/true,
-                        /*cache_snapshots_per_rank=*/2);
+  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/2);
   const auto [lo1, hi1] = store.partition(1);
   ASSERT_GE(hi1 - lo1, 3);
   const std::int64_t a = lo1, b = lo1 + 1, c = lo1 + 2;
@@ -628,8 +652,7 @@ TEST(ScheduleAwareEviction, CrossEpochScheduleKeepsBoundaryResidueHot) {
   // overflows capacity 2.  n carries a future position from the next
   // epoch's head, so the victim must be r.
   {
-    dist::DistStore store(ds, 4, dist::NetworkModel{}, /*consolidate=*/true,
-                          /*cache_snapshots_per_rank=*/2);
+    dist::DistStore store(ds, 4, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/2);
     const auto [lo1, hi1] = store.partition(1);
     ASSERT_GE(hi1 - lo1, 3);
     const std::int64_t n = lo1, r = lo1 + 1, x = lo1 + 2;
@@ -653,8 +676,7 @@ TEST(ScheduleAwareEviction, CrossEpochScheduleKeepsBoundaryResidueHot) {
   // eviction time everything consumed is residue, LRU picks the oldest
   // — n — and the boundary reuse pays a second copy.
   {
-    dist::DistStore store(ds, 4, dist::NetworkModel{}, /*consolidate=*/true,
-                          /*cache_snapshots_per_rank=*/2);
+    dist::DistStore store(ds, 4, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/2);
     const auto [lo1, hi1] = store.partition(1);
     const std::int64_t n = lo1, r = lo1 + 1, x = lo1 + 2;
     (void)r;
@@ -675,8 +697,7 @@ TEST(ScheduleAwareEviction, CrossEpochScheduleKeepsBoundaryResidueHot) {
 
 TEST(ScheduleAwareEviction, WithoutScheduleEvictionDegradesToPlainLru) {
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*consolidate=*/true,
-                        /*cache_snapshots_per_rank=*/2);
+  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/2);
   const auto [lo1, hi1] = store.partition(1);
   ASSERT_GE(hi1 - lo1, 3);
   const auto touch = [&](std::int64_t id) {
@@ -757,8 +778,7 @@ TEST(DepthNPrefetch, TruncatedEpochReconciliationAtDepthFour) {
   // and count as fully overlapped; afterwards the stats decompose
   // exactly and the pipeline delivers clean epochs again.
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 2, dist::NetworkModel{}, /*consolidate=*/true,
-                        /*cache_snapshots_per_rank=*/0,
+  dist::DistStore store(ds, 2, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/0,
                         /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
   data::RankSource source(store, /*rank=*/0);
   data::LoaderOptions opt;

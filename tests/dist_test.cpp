@@ -390,6 +390,34 @@ TEST(DistStoreMaterialized, LocalFetchIsZeroCopyShardView) {
   EXPECT_EQ(st.bytes_copied, 0u);
 }
 
+TEST(DistStoreMaterialized, LedgerRecordsAnAllLocalBatchAsFree) {
+  data::StandardDataset ds = tiny_dataset();
+  DistStore store(ds, 4, NetworkModel{});
+  const auto [lo, hi] = store.partition(2);
+  ASSERT_GE(hi - lo, 3);
+  const std::vector<std::int64_t> batch{lo, lo + 1, hi - 1};
+  store.prefetch_batch(/*rank=*/2, batch);
+  for (std::int64_t id : batch) store.fetch(2, id);
+  store.notify_batch_delivered(2);
+  const StoreStats st = store.stats();
+  EXPECT_EQ(st.local_snapshots, batch.size());
+  EXPECT_EQ(st.remote_snapshots, 0u);
+  EXPECT_EQ(st.remote_bytes, 0u);
+  EXPECT_EQ(st.request_messages, 0u);
+  EXPECT_EQ(st.modeled_seconds, 0.0);
+  EXPECT_EQ(st.bytes_copied, 0u);
+  EXPECT_EQ(store.drain_modeled_seconds(2), 0.0);
+}
+
+TEST(DistStoreMaterialized, LegacyConstructorAcceptsOnlyConsolidation) {
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+  EXPECT_NO_THROW(DistStore(tiny_dataset(), 4, NetworkModel{}, true, -1, 0, false));
+  EXPECT_THROW(DistStore(tiny_dataset(), 4, NetworkModel{}, false, -1, 0, false),
+               std::invalid_argument);
+#pragma GCC diagnostic pop
+}
+
 TEST(DistStoreMaterialized, RemoteFetchMovesRealBytesBitExactly) {
   data::StandardDataset ds = tiny_dataset();
   DistStore store(ds, 4, NetworkModel{});
@@ -446,9 +474,8 @@ TEST(DistStoreMaterialized, SecondAnnouncementBeforeConsumptionThrows) {
   // asynchronous staging, since both run the same request lifecycle.
   for (bool async : {false, true}) {
     data::StandardDataset ds = tiny_dataset();
-    DistStore store(ds, 4, NetworkModel{}, /*consolidate=*/true,
-                    DistStore::kDefaultCacheSnapshots, /*cache_bytes_per_rank=*/0,
-                    async);
+    DistStore store(ds, 4, NetworkModel{}, DistStore::kDefaultCacheSnapshots,
+                    /*cache_bytes_per_rank=*/0, async);
     const auto [lo1, hi1] = store.partition(1);
     (void)hi1;
     store.prefetch_batch(0, {lo1});
@@ -462,8 +489,7 @@ TEST(DistStoreMaterialized, SecondAnnouncementBeforeConsumptionThrows) {
 
 TEST(DistStoreMaterialized, LruEvictsLeastRecentlyUsed) {
   data::StandardDataset ds = tiny_dataset();
-  DistStore store(ds, 4, NetworkModel{}, /*consolidate=*/true,
-                  /*cache_snapshots_per_rank=*/2);
+  DistStore store(ds, 4, NetworkModel{}, /*cache_snapshots_per_rank=*/2);
   const auto [lo1, hi1] = store.partition(1);
   ASSERT_GE(hi1 - lo1, 3);
   // The loader protocol: each announced snapshot is consumed by one
