@@ -5,8 +5,8 @@
 //   * consolidated vs per-item remote fetch requests (baseline DDP opt)
 //   * gradient bucketing vs per-tensor all-reduce
 //   * core compute kernels (matmul / SpMM / fused DCGRU step) — each
-//     with its retained pre-optimization `_reference` baseline, plus an
-//     in-run before/after claims section (custom main below) so the
+//     against its seed baseline from the pgti_reference library, plus
+//     an in-run before/after claims section (custom main below) so the
 //     speedup and bit-exactness claims are measured in the same binary
 //     and counted by scripts/run_benches.sh.
 #include <benchmark/benchmark.h>
@@ -18,8 +18,8 @@
 
 #include "bench_util.h"
 #include "core/pgt_i.h"
-#include "nn/dcgru.h"
 #include "optim/optim.h"
+#include "reference/reference.h"
 #include "runtime/arena.h"
 #include "tensor/tensor_ops.h"
 
@@ -199,8 +199,8 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
 
-// Pre-optimization naive triple loop, kept callable for the in-run
-// before/after ratio (and as the bit-exactness oracle).
+// Seed naive triple loop (pgti_reference), the in-run before/after
+// baseline and the bit-exactness oracle.
 void BM_MatmulReference(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   Rng rng(1);
@@ -254,7 +254,7 @@ void BM_SpmmBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmBatched);
 
-// Pre-optimization batched kernel: parallel over the batch dim only.
+// Seed batched kernel (pgti_reference): parallel over the batch only.
 void BM_SpmmBatchedReference(benchmark::State& state) {
   Csr p = bench_support(256);
   Rng rng(2);
@@ -263,7 +263,7 @@ void BM_SpmmBatchedReference(benchmark::State& state) {
   const std::uint64_t heap_before = bench::heap_allocs();
   for (auto _ : state) {
     runtime::ArenaScope scope(arena);
-    Tensor y = p.spmm_batched_reference(x);
+    Tensor y = spmm_batched_reference(p, x);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * 8 * p.nnz() * 32);
@@ -298,8 +298,11 @@ void BM_SpmmBiasAct(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmBiasAct)->Arg(0)->Arg(1);
 
-void dcgru_step(core::ModelBundle& bundle, const Tensor& x, const Tensor& y) {
-  auto outs = bundle.model->forward_seq(x);
+// One training step's forward, loss and backward; `forward` runs the
+// model's own fused path or the unfused reference over its parameters.
+template <typename Forward>
+void dcgru_step(core::ModelBundle& bundle, Forward&& forward, const Tensor& y) {
+  auto outs = forward();
   Variable loss = core::seq_loss(outs, y);
   bundle.model->zero_grad();
   loss.backward();
@@ -323,7 +326,10 @@ void BM_DcgruForwardBackward(benchmark::State& state) {
   Rng rng(4);
   Tensor x = Tensor::randn({8, 6, spec.nodes, spec.features}, rng);
   Tensor y = Tensor::randn({8, 6, spec.nodes, 1}, rng);
-  nn::set_gru_fusion_enabled(fused);
+  const nn::PgtDcrnnReference reference(*bundle.model, *bundle.supports);
+  auto forward = [&] {
+    return fused ? bundle.model->forward_seq(x) : reference.forward_seq(x);
+  };
   // Per-step arena scope, matching how EpochEngine drives this model;
   // the allocs column converges to 0 once the first step has planned
   // the pool.
@@ -331,14 +337,13 @@ void BM_DcgruForwardBackward(benchmark::State& state) {
   {
     // Untimed planning step so the column reads steady state.
     runtime::ArenaScope scope(arena);
-    dcgru_step(bundle, x, y);
+    dcgru_step(bundle, forward, y);
   }
   const std::uint64_t heap_before = bench::heap_allocs();
   for (auto _ : state) {
     runtime::ArenaScope scope(arena);
-    dcgru_step(bundle, x, y);
+    dcgru_step(bundle, forward, y);
   }
-  nn::set_gru_fusion_enabled(true);
   state.SetItemsProcessed(state.iterations() * 8);
   set_alloc_counter(state, heap_before);
 }
@@ -402,12 +407,12 @@ void run_kernel_claims() {
     Tensor x = Tensor::randn({8, 256, 32}, rng);
     const double t_coll = time_of([&] { benchmark::DoNotOptimize(p.spmm_batched(x).data()); });
     const double t_ref =
-        time_of([&] { benchmark::DoNotOptimize(p.spmm_batched_reference(x).data()); });
+        time_of([&] { benchmark::DoNotOptimize(spmm_batched_reference(p, x).data()); });
     std::printf("spmm_batched B=8 n=256 c=32: collapsed %.1f us, batch-parallel %.1f us\n",
                 t_coll * 1e6, t_ref * 1e6);
     bench::verdict(t_coll <= t_ref * 1.10,
                    "collapsed (batch x row-block) SpMM no slower than batch-only kernel");
-    bench::verdict(same_bits(p.spmm_batched(x), p.spmm_batched_reference(x)),
+    bench::verdict(same_bits(p.spmm_batched(x), spmm_batched_reference(p, x)),
                    "collapsed SpMM bit-identical to batch-only reference");
   }
 
@@ -418,20 +423,20 @@ void run_kernel_claims() {
     Rng rng(4);
     Tensor x = Tensor::randn({8, 6, spec.nodes, spec.features}, rng);
     Tensor y = Tensor::randn({8, 6, spec.nodes, 1}, rng);
-    auto loss_of = [&] {
-      auto outs = bundle.model->forward_seq(x);
+    const nn::PgtDcrnnReference reference(*bundle.model, *bundle.supports);
+    auto loss_of = [&](auto&& forward) {
+      auto outs = forward();
       Variable loss = core::seq_loss(outs, y);
       bundle.model->zero_grad();
       loss.backward();
       return loss.value().clone();
     };
-    nn::set_gru_fusion_enabled(true);
-    const double t_fused = time_of([&] { loss_of(); });
-    const Tensor loss_fused = loss_of();
-    nn::set_gru_fusion_enabled(false);
-    const double t_ref = time_of([&] { loss_of(); });
-    const Tensor loss_ref = loss_of();
-    nn::set_gru_fusion_enabled(true);
+    auto fused = [&] { return bundle.model->forward_seq(x); };
+    auto unfused = [&] { return reference.forward_seq(x); };
+    const double t_fused = time_of([&] { loss_of(fused); });
+    const Tensor loss_fused = loss_of(fused);
+    const double t_ref = time_of([&] { loss_of(unfused); });
+    const Tensor loss_ref = loss_of(unfused);
     const double ratio = t_ref / t_fused;
     std::printf("DCGRU fwd+bwd B=8 T=6: fused %.2f ms, unfused reference %.2f ms, ratio %.2fx\n",
                 t_fused * 1e3, t_ref * 1e3, ratio);
@@ -494,7 +499,7 @@ void run_kernel_claims() {
     runtime::TensorArena arena;
     auto step = [&] {
       runtime::ArenaScope scope(arena);
-      dcgru_step(bundle, x, y);
+      dcgru_step(bundle, [&] { return bundle.model->forward_seq(x); }, y);
     };
     step();  // planning pass: populates the pool and the workspace cache
     const std::uint64_t before = bench::heap_allocs();

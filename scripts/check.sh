@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 gate in one command: configure + build + ctest, with warnings
-# in src/dist/ promoted to errors (PGTI_WERROR), plus a multi-process
-# smoke stage proving the socket transport reproduces in-process
-# losses byte for byte across forked rank processes.
+# in src/dist/ promoted to errors (PGTI_WERROR), plus named stages: a
+# multi-process smoke proving the socket transport reproduces
+# in-process losses byte for byte across forked rank processes, an
+# oracle gate proving libpgti.a carries no `_reference` kernel and no
+# `gru_fusion` switch (those live in the test-and-bench-only
+# pgti_reference library), and the alloc-free and serving gates re-run
+# by test name.
 #
 #   scripts/check.sh [build-dir]
 #
@@ -44,6 +48,18 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" ${CTEST_ARGS:--
 echo
 echo "== multi-process smoke: socket transport (forked ranks, world=4) vs in-process =="
 "${build_dir}/examples/socket_ddp" --smoke
+
+echo
+echo "== oracle gate: libpgti.a must list no _reference or gru_fusion symbol =="
+# The seed kernels and the unfused DCGRU cell are test and bench oracles
+# (reference/, DESIGN.md §14).  A match here means an oracle or a parity
+# switch drifted back into src/.
+symbols="$(nm -C "${build_dir}/libpgti.a")"
+if grep -E '_reference|gru_fusion' <<<"${symbols}"; then
+  echo "libpgti.a carries the symbols above; oracles belong in reference/" >&2
+  exit 1
+fi
+echo "none"
 
 echo
 echo "== alloc-free steady state gate: train step heap allocs must be 0 =="

@@ -112,19 +112,6 @@ Variable matmul(const Variable& a, const Variable& b) {
   });
 }
 
-Variable matmul_reference(const Variable& a, const Variable& b) {
-  ImplPtr ia = a.impl(), ib = b.impl();
-  Tensor va = a.value(), vb = b.value();
-  // Backward uses the retained pre-optimization tn/nt kernels so the
-  // reference path's training-step cost is the honest "before" for the
-  // in-run bench ratio; their bits match the blocked kernels exactly.
-  return Variable::make_node(ops::matmul_reference(va, vb), {a, b},
-                             [ia, ib, va, vb](Impl& node) {
-                               Variable::accumulate(ia, ops::matmul_nt_reference(node.grad, vb));
-                               Variable::accumulate(ib, ops::matmul_tn_reference(va, node.grad));
-                             });
-}
-
 Variable spmm(const Csr& p, const Csr& p_transpose, const Variable& x) {
   ImplPtr ix = x.impl();
   const bool batched = x.value().dim() == 3;

@@ -30,10 +30,6 @@ Variable mul_colvec(const Variable& m, const Variable& col);
 // --- linear algebra ----------------------------------------------------
 /// [M,K] x [K,N] -> [M,N]
 Variable matmul(const Variable& a, const Variable& b);
-/// Same op with the retained naive forward kernel
-/// (ops::matmul_reference); the pre-optimization baseline that parity
-/// tests and in-run before/after benches compare against.
-Variable matmul_reference(const Variable& a, const Variable& b);
 /// Sparse graph propagation: y = P x for x [N,C] or [B,N,C].
 /// `p_transpose` must be P^T (used for the input gradient).
 Variable spmm(const Csr& p, const Csr& p_transpose, const Variable& x);

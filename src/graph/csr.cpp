@@ -145,10 +145,6 @@ void Csr::spmm_rows(const float* x, float* y, std::int64_t c, std::int64_t r_lo,
   }
 }
 
-void Csr::spmm_into(const float* x, float* y, std::int64_t c) const {
-  spmm_rows(x, y, c, 0, rows_, nullptr, ops::Act::kIdentity);
-}
-
 Tensor Csr::spmm_impl(const Tensor& x, const float* bias, ops::Act act,
                       const char* what) const {
   // Strided x (a view from index-batching) needs dense staging before
@@ -213,26 +209,6 @@ Tensor Csr::spmm_bias_act(const Tensor& x, const Tensor& bias, ops::Act act) con
     throw std::invalid_argument("Csr::spmm_bias_act: bias must be [C]");
   }
   return spmm_impl(x, bc.data(), act, "Csr::spmm_bias_act");
-}
-
-Tensor Csr::spmm_batched_reference(const Tensor& x) const {
-  if (x.dim() != 3 || x.size(1) != cols_) {
-    throw std::invalid_argument("Csr::spmm_batched_reference: x must be [B, cols, C]");
-  }
-  const Tensor xc = x.contiguous();
-  const std::int64_t b = x.size(0);
-  const std::int64_t c = x.size(2);
-  Tensor y = Tensor::empty({b, rows_, c}, x.space());
-  const float* px = xc.data();
-  float* py = y.data();
-  const std::int64_t in_stride = cols_ * c;
-  const std::int64_t out_stride = rows_ * c;
-  parallel_for(0, b, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      spmm_into(px + i * in_stride, py + i * out_stride, c);
-    }
-  });
-  return y;
 }
 
 }  // namespace pgti

@@ -69,11 +69,6 @@ class Csr {
   /// act(add_bias(spmm(x), bias)).
   Tensor spmm_bias_act(const Tensor& x, const Tensor& bias, ops::Act act) const;
 
-  /// Retained pre-optimization batched kernel (parallel over B only,
-  /// serial rows inside).  bench_kernels measures the collapsed-space
-  /// speedup in-run against this; tests assert bit-identical output.
-  Tensor spmm_batched_reference(const Tensor& x) const;
-
  private:
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
@@ -81,7 +76,6 @@ class Csr {
   std::vector<std::int64_t> col_idx_;
   std::vector<float> values_;
 
-  void spmm_into(const float* x, float* y, std::int64_t c) const;
   /// Rows [r_lo, r_hi) of one SpMM with optional fused epilogue.
   void spmm_rows(const float* x, float* y, std::int64_t c, std::int64_t r_lo,
                  std::int64_t r_hi, const float* bias, ops::Act act) const;

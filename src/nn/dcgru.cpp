@@ -1,26 +1,12 @@
 #include "nn/dcgru.h"
 
-#include <atomic>
-
 namespace pgti::nn {
-namespace {
-
-std::atomic<bool> g_gru_fusion{true};
-
-}  // namespace
-
-bool gru_fusion_enabled() noexcept {
-  return g_gru_fusion.load(std::memory_order_relaxed);
-}
-
-void set_gru_fusion_enabled(bool enabled) noexcept {
-  g_gru_fusion.store(enabled, std::memory_order_relaxed);
-}
 
 DCGRUCell::DCGRUCell(std::int64_t input_dim, std::int64_t hidden_dim,
                      const GraphSupports& supports, int max_diffusion_steps, Rng& rng)
     : input_(input_dim),
       hidden_(hidden_dim),
+      supports_(&supports),
       gates_(input_dim + hidden_dim, 2 * hidden_dim, supports, max_diffusion_steps, rng),
       candidate_(input_dim + hidden_dim, hidden_dim, supports, max_diffusion_steps, rng) {
   register_module("gates", &gates_);
@@ -28,46 +14,17 @@ DCGRUCell::DCGRUCell(std::int64_t input_dim, std::int64_t hidden_dim,
 }
 
 Variable DCGRUCell::forward(const Variable& x, const Variable& h) const {
-  if (!gru_fusion_enabled()) return forward_reference(x, h);
-  Variable xh = ag::concat_lastdim({x, h});
-  Variable pre = gates_.forward(xh);  // [B, N, 2H]
-  auto [rh, u] = ag::gru_gates(pre, h);
-  Variable xc = ag::concat_lastdim({x, rh});
-  Variable c = candidate_.forward_act(xc, ops::Act::kTanh);
-  return ag::gru_state(c, u, h);
+  return forward(x, h, *supports_);
 }
 
 Variable DCGRUCell::forward(const Variable& x, const Variable& h,
                             const GraphSupports& supports) const {
-  if (!gru_fusion_enabled()) return forward_reference(x, h, supports);
   Variable xh = ag::concat_lastdim({x, h});
-  Variable pre = gates_.forward(xh, supports);
+  Variable pre = gates_.forward(xh, supports);  // [B, N, 2H]
   auto [rh, u] = ag::gru_gates(pre, h);
   Variable xc = ag::concat_lastdim({x, rh});
   Variable c = candidate_.forward_act(xc, supports, ops::Act::kTanh);
   return ag::gru_state(c, u, h);
-}
-
-Variable DCGRUCell::forward_reference(const Variable& x, const Variable& h) const {
-  Variable xh = ag::concat_lastdim({x, h});
-  Variable ru = ag::sigmoid(gates_.forward_reference(xh));
-  Variable r = ag::slice_lastdim(ru, 0, hidden_);
-  Variable u = ag::slice_lastdim(ru, hidden_, hidden_);
-  Variable xc = ag::concat_lastdim({x, ag::mul(r, h)});
-  Variable c = ag::tanh(candidate_.forward_reference(xc));
-  // h' = u*h + (1-u)*c  ==  c + u*(h - c)
-  return ag::add(c, ag::mul(u, ag::sub(h, c)));
-}
-
-Variable DCGRUCell::forward_reference(const Variable& x, const Variable& h,
-                                      const GraphSupports& supports) const {
-  Variable xh = ag::concat_lastdim({x, h});
-  Variable ru = ag::sigmoid(gates_.forward_reference(xh, supports));
-  Variable r = ag::slice_lastdim(ru, 0, hidden_);
-  Variable u = ag::slice_lastdim(ru, hidden_, hidden_);
-  Variable xc = ag::concat_lastdim({x, ag::mul(r, h)});
-  Variable c = ag::tanh(candidate_.forward_reference(xc, supports));
-  return ag::add(c, ag::mul(u, ag::sub(h, c)));
 }
 
 }  // namespace pgti::nn

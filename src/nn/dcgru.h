@@ -5,23 +5,15 @@
 
 namespace pgti::nn {
 
-/// Global toggle for the fused DCGRU compute path (default on).  Off
-/// routes forward() through forward_reference() — the pre-optimization
-/// kernels — so benches can measure the fusion speedup in-run and tests
-/// can assert bit-identical parity.  Losses are identical either way.
-bool gru_fusion_enabled() noexcept;
-void set_gru_fusion_enabled(bool enabled) noexcept;
-
 /// GRU cell whose input/hidden transforms are diffusion convolutions
 /// over the sensor graph (Li et al. 2018, Eq. 3):
 ///   r,u = sigmoid(DConv([x, h]))
 ///   c   = tanh(DConv([x, r*h]))
 ///   h'  = u*h + (1-u)*c
-/// The default path fuses the gate sigmoids + r*h, the candidate tanh
-/// (in the DConv projection epilogue), and the state update into three
-/// kernel passes (ag::gru_gates / forward_act / ag::gru_state); values
-/// and gradients are bit-identical to the reference composition
-/// (DESIGN.md §14).
+/// The gate sigmoids + r*h, the candidate tanh (in the DConv projection
+/// epilogue), and the state update run as three fused kernel passes
+/// (ag::gru_gates / forward_act / ag::gru_state); values and gradients
+/// are bit-identical to the unfused composition (DESIGN.md §14).
 class DCGRUCell : public Module {
  public:
   DCGRUCell(std::int64_t input_dim, std::int64_t hidden_dim,
@@ -35,18 +27,13 @@ class DCGRUCell : public Module {
   Variable forward(const Variable& x, const Variable& h,
                    const GraphSupports& supports) const;
 
-  /// Pre-optimization composition (unfused slices/elementwise chain and
-  /// reference matmul kernels); baseline for parity tests and benches.
-  Variable forward_reference(const Variable& x, const Variable& h) const;
-  Variable forward_reference(const Variable& x, const Variable& h,
-                             const GraphSupports& supports) const;
-
   std::int64_t hidden_dim() const noexcept { return hidden_; }
   std::int64_t input_dim() const noexcept { return input_; }
 
  private:
   std::int64_t input_;
   std::int64_t hidden_;
+  const GraphSupports* supports_;  // not owned; outlives the model
   DiffusionConv gates_;      // -> [B, N, 2H] (r, u fused)
   DiffusionConv candidate_;  // -> [B, N, H]
 };

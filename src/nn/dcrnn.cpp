@@ -66,51 +66,21 @@ DCRNN::DCRNN(const DcrnnOptions& options, const GraphSupports& supports)
   register_module("projection", &projection_);
 }
 
+std::vector<Variable> DCRNN::forward_seq(const Tensor& x) const {
+  return unroll(x, nullptr);
+}
+
 std::vector<Variable> DCRNN::forward_seq_scheduled(const Tensor& x, const Tensor& y,
                                                    float teacher_forcing_prob,
                                                    Rng& rng) const {
   if (y.dim() != 4 || y.size(1) < options_.horizon || y.size(3) != options_.output_dim) {
     throw std::invalid_argument("DCRNN: scheduled sampling targets [B, H, N, out]");
   }
-  const std::int64_t b = x.size(0);
-  const std::int64_t t_steps = x.size(1);
-  const std::int64_t n = x.size(2);
-
-  std::vector<Variable> h;
-  for (std::size_t l = 0; l < encoder_.size(); ++l) {
-    h.push_back(zero_state(b, n, options_.hidden_dim, x.space()));
-  }
-  for (std::int64_t t = 0; t < t_steps; ++t) {
-    Variable input = step_input(x, t);
-    for (std::size_t l = 0; l < encoder_.size(); ++l) {
-      h[l] = encoder_[l]->forward(input, h[l]);
-      input = h[l];
-    }
-  }
-
-  std::vector<Variable> outputs;
-  outputs.reserve(static_cast<std::size_t>(options_.horizon));
-  Variable prev = zero_state(b, n, options_.output_dim, x.space());
-  for (std::int64_t t = 0; t < options_.horizon; ++t) {
-    Variable input = prev;
-    for (std::size_t l = 0; l < decoder_.size(); ++l) {
-      h[l] = decoder_[l]->forward(input, h[l]);
-      input = h[l];
-    }
-    Variable flat = ag::reshape(h.back(), {b * n, options_.hidden_dim});
-    Variable pred = ag::reshape(projection_.forward(flat), {b, n, options_.output_dim});
-    outputs.push_back(pred);
-    // Coin flip: feed ground truth (teacher forcing) or own prediction.
-    if (t + 1 < options_.horizon && rng.uniform() < teacher_forcing_prob) {
-      prev = Variable(y.select(1, t).contiguous(), /*requires_grad=*/false);
-    } else {
-      prev = pred;
-    }
-  }
-  return outputs;
+  const TeacherForcing forcing{y, teacher_forcing_prob, rng};
+  return unroll(x, &forcing);
 }
 
-std::vector<Variable> DCRNN::forward_seq(const Tensor& x) const {
+std::vector<Variable> DCRNN::unroll(const Tensor& x, const TeacherForcing* forcing) const {
   if (x.dim() != 4 || x.size(3) != options_.input_dim) {
     throw std::invalid_argument("DCRNN: expected input [B, T, N, F]");
   }
@@ -131,8 +101,9 @@ std::vector<Variable> DCRNN::forward_seq(const Tensor& x) const {
     }
   }
 
-  // Decoder pass: starts from a GO symbol (zeros), consumes its own
-  // previous prediction (no scheduled sampling).
+  // Decoder pass: starts from a GO symbol (zeros) and consumes its own
+  // previous prediction, or, under teacher forcing, the ground truth
+  // with probability `forcing->prob` per step.
   std::vector<Variable> outputs;
   outputs.reserve(static_cast<std::size_t>(options_.horizon));
   Variable prev = zero_state(b, n, options_.output_dim, x.space());
@@ -145,6 +116,10 @@ std::vector<Variable> DCRNN::forward_seq(const Tensor& x) const {
     Variable flat = ag::reshape(h.back(), {b * n, options_.hidden_dim});
     prev = ag::reshape(projection_.forward(flat), {b, n, options_.output_dim});
     outputs.push_back(prev);
+    if (forcing != nullptr && t + 1 < options_.horizon &&
+        forcing->rng.uniform() < forcing->prob) {
+      prev = step_input(forcing->y, t);
+    }
   }
   return outputs;
 }

@@ -86,6 +86,16 @@ class DCRNN : public SeqModel {
   }
 
  private:
+  struct TeacherForcing {
+    const Tensor& y;
+    float prob;
+    Rng& rng;
+  };
+
+  /// The encoder/decoder loop both entry points share; a null `forcing`
+  /// decodes free-running.
+  std::vector<Variable> unroll(const Tensor& x, const TeacherForcing* forcing) const;
+
   DcrnnOptions options_;
   Rng rng_;
   std::vector<std::unique_ptr<DCGRUCell>> encoder_;

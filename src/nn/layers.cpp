@@ -24,14 +24,6 @@ Variable Linear::forward_act(const Variable& x, ops::Act act) const {
   return ag::matmul_bias_act(x, weight_, bias_, act);
 }
 
-Variable Linear::forward_reference(const Variable& x) const {
-  if (x.value().dim() != 2 || x.value().size(1) != in_) {
-    throw std::invalid_argument("Linear::forward: expected [M, " + std::to_string(in_) +
-                                "], got " + shape_to_string(x.value().shape()));
-  }
-  return ag::add_bias(ag::matmul_reference(x, weight_), bias_);
-}
-
 GraphSupports GraphSupports::from(std::vector<Csr> supports) {
   GraphSupports out;
   out.transposed.reserve(supports.size());
@@ -56,8 +48,8 @@ DiffusionConv::DiffusionConv(std::int64_t in_channels, std::int64_t out_channels
 
 namespace {
 
-// Shared K-hop propagation + flatten for the DiffusionConv variants:
-// x, P x, P^2 x, ... per support, concatenated to [B*N, M*Cin].
+// K-hop propagation + flatten: x, P x, P^2 x, ... per support,
+// concatenated to [B*N, M*Cin].
 Variable diffusion_features(const Variable& x, const GraphSupports& supports, int k,
                             std::int64_t b, std::int64_t n) {
   std::vector<Variable> feats;
@@ -85,10 +77,6 @@ Variable DiffusionConv::forward(const Variable& x, const GraphSupports& supports
   return forward_act(x, supports, ops::Act::kIdentity);
 }
 
-Variable DiffusionConv::forward_act(const Variable& x, ops::Act act) const {
-  return forward_act(x, *supports_, act);
-}
-
 Variable DiffusionConv::forward_act(const Variable& x, const GraphSupports& supports,
                                     ops::Act act) const {
   const Tensor& v = x.value();
@@ -105,27 +93,6 @@ Variable DiffusionConv::forward_act(const Variable& x, const GraphSupports& supp
   // The activation commutes with the trailing reshape, so applying it
   // in the matmul epilogue is bit-identical to act(reshape(...)).
   Variable out = ag::matmul_bias_act(flat, weight_, bias_, act);
-  return ag::reshape(out, {b, n, out_});
-}
-
-Variable DiffusionConv::forward_reference(const Variable& x) const {
-  return forward_reference(x, *supports_);
-}
-
-Variable DiffusionConv::forward_reference(const Variable& x,
-                                          const GraphSupports& supports) const {
-  const Tensor& v = x.value();
-  if (v.dim() != 3 || v.size(2) != in_) {
-    throw std::invalid_argument("DiffusionConv::forward: expected [B, N, Cin]");
-  }
-  if (supports.count() != supports_->count()) {
-    throw std::invalid_argument(
-        "DiffusionConv::forward: support count differs from construction");
-  }
-  const std::int64_t b = v.size(0);
-  const std::int64_t n = v.size(1);
-  Variable flat = diffusion_features(x, supports, k_, b, n);
-  Variable out = ag::add_bias(ag::matmul_reference(flat, weight_), bias_);
   return ag::reshape(out, {b, n, out_});
 }
 

@@ -20,9 +20,6 @@ class Linear : public Module {
   /// epilogue — one tape node, no intermediate tensors.  Bit-identical
   /// to act(forward(x)).
   Variable forward_act(const Variable& x, ops::Act act) const;
-  /// Pre-optimization composition add_bias(matmul_reference(x, W), b);
-  /// baseline for parity tests and in-run before/after benches.
-  Variable forward_reference(const Variable& x) const;
 
   std::int64_t in_features() const noexcept { return in_; }
   std::int64_t out_features() const noexcept { return out_; }
@@ -61,15 +58,9 @@ class DiffusionConv : public Module {
   Variable forward(const Variable& x, const GraphSupports& supports) const;
 
   /// Fused out = act(DConv(x)): the activation runs in the projection
-  /// matmul's store epilogue.  Bit-identical to act(forward(x)).
-  Variable forward_act(const Variable& x, ops::Act act) const;
+  /// matmul's store epilogue.  Bit-identical to act(forward(x, supports)).
   Variable forward_act(const Variable& x, const GraphSupports& supports,
                        ops::Act act) const;
-
-  /// Pre-optimization composition (reference matmul + separate bias
-  /// add); baseline for parity tests and in-run before/after benches.
-  Variable forward_reference(const Variable& x) const;
-  Variable forward_reference(const Variable& x, const GraphSupports& supports) const;
 
   std::int64_t in_channels() const noexcept { return in_; }
   std::int64_t out_channels() const noexcept { return out_; }

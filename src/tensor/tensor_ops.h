@@ -10,9 +10,9 @@
 // output element in an order that is a pure function of the operand
 // shapes — never of the thread count, blocking factors, or SIMD width.
 // The register-blocked matmul family and the fused epilogues below are
-// therefore bit-identical to the retained *_reference kernels, and
-// losses stay bit-identical across world sizes, strategies, and
-// prefetch depths.
+// therefore bit-identical to the seed kernels (kept as test and bench
+// oracles in reference/), and losses stay bit-identical across world
+// sizes, strategies, and prefetch depths.
 #pragma once
 
 #include <cmath>
@@ -91,17 +91,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// intermediate tensors.  Bit-identical to
 /// act(add_bias(matmul(a, b), bias)).
 Tensor matmul_bias_act(const Tensor& a, const Tensor& b, const Tensor& bias, Act act);
-
-/// Retained naive triple-loop kernel (the pre-optimization baseline).
-/// bench_kernels measures the blocked/naive ratio in-run against this;
-/// tests assert the blocked kernel is bit-identical to it.
-Tensor matmul_reference(const Tensor& a, const Tensor& b);
-/// Retained pre-optimization backward kernels (rank-1 update loop and
-/// row-row dot products).  Same per-element k-ascending accumulation as
-/// the blocked tn/nt — identical bits, pre-PR speed — so the reference
-/// training path prices its backward like the code it replaces.
-Tensor matmul_tn_reference(const Tensor& a, const Tensor& b);
-Tensor matmul_nt_reference(const Tensor& a, const Tensor& b);
 
 /// dz = g ⊙ act'(y), evaluated from the saved forward output y with the
 /// exact per-element expressions of the unfused sigmoid/tanh/relu

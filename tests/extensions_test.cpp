@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
 #include "autograd/gradcheck.h"
 #include "core/pgt_i.h"
@@ -263,9 +264,24 @@ TEST(ScheduledSampling, FullTeacherForcingDiffersFromFree) {
   auto never = dcrnn->forward_seq_scheduled(x, y, 0.0f, coin2);
   // Step 0 is identical (no previous target yet)...
   EXPECT_EQ(ops::max_abs_diff(free_run[0].value(), forced[0].value()), 0.0f);
-  // ...later steps differ under teacher forcing but match without it.
+  // ...later steps differ under teacher forcing...
   EXPECT_GT(ops::max_abs_diff(free_run[2].value(), forced[2].value()), 0.0f);
-  EXPECT_EQ(ops::max_abs_diff(free_run[2].value(), never[2].value()), 0.0f);
+  // ...and every step matches the free run bit for bit without it.
+  ASSERT_EQ(never.size(), free_run.size());
+  for (std::size_t t = 0; t < free_run.size(); ++t) {
+    const Tensor a = free_run[t].value().contiguous();
+    const Tensor b = never[t].value().contiguous();
+    ASSERT_EQ(a.shape(), b.shape());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), sizeof(float) * static_cast<std::size_t>(a.numel())),
+              0)
+        << "step " << t;
+  }
+  // The scheduled entry point validates x like forward_seq does.
+  Rng coin3(3);
+  Tensor bad_x = Tensor::randn({2, 4, spec.nodes, spec.features + 1}, xr);
+  EXPECT_THROW(dcrnn->forward_seq_scheduled(bad_x, y, 0.5f, coin3), std::invalid_argument);
+  EXPECT_THROW(dcrnn->forward_seq_scheduled(x.select(1, 0), y, 0.5f, coin3),
+               std::invalid_argument);
 }
 
 // -------------------------------------------- dynamic graphs (paper §7)

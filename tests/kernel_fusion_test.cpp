@@ -1,12 +1,13 @@
 // Parity and gradient coverage for the fused/blocked kernel layer
-// (DESIGN.md §14).  Every fused op must be BIT-IDENTICAL to the
-// retained reference composition — not merely close — because the
-// repo's determinism suites compare losses across world sizes and
-// strategies with exact equality.
+// (DESIGN.md §14).  Every fused op must be BIT-IDENTICAL to its
+// reference composition or to the seed kernel kept in pgti_reference
+// — not merely close — because the repo's determinism suites compare
+// losses across world sizes and strategies with exact equality.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "autograd/gradcheck.h"
@@ -14,6 +15,7 @@
 #include "graph/csr.h"
 #include "graph/spatial.h"
 #include "nn/dcgru.h"
+#include "reference/reference.h"
 #include "tensor/tensor_ops.h"
 
 namespace pgti {
@@ -122,9 +124,20 @@ TEST(FusedMatmul, BiasActMatchesUnfusedComposition) {
 // ----------------------------------------------------------- fused SpMM
 
 TEST(FusedSpmm, BatchedBitIdenticalToReference) {
-  const Csr m = random_csr(40, 21);
-  Tensor x = randn({6, 40, 9}, 22);
-  expect_bits(m.spmm_batched(x), m.spmm_batched_reference(x));
+  // Graphs below, at and across the 64-row block the collapsed kernel
+  // splits each batch item into, so tasks that share an item but not a
+  // block are compared with the batch-only oracle too.
+  for (std::int64_t n : {1LL, 63LL, 64LL, 65LL, 200LL}) {
+    const Csr m = random_csr(n, 21 + static_cast<std::uint64_t>(n));
+    for (std::int64_t b : {1LL, 3LL}) {
+      for (std::int64_t c : {1LL, 9LL}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " B=" + std::to_string(b) +
+                     " C=" + std::to_string(c));
+        Tensor x = randn({b, n, c}, 22 + static_cast<std::uint64_t>(n * b * c));
+        expect_bits(m.spmm_batched(x), spmm_batched_reference(m, x));
+      }
+    }
+  }
 }
 
 TEST(FusedSpmm, BiasActMatchesUnfusedComposition2D) {
@@ -352,46 +365,58 @@ TEST(FusedAutograd, GruChainGradsMatchReferenceComposition) {
   expect_bits(c1.grad(), c2.grad());
 }
 
-// --------------------------------------- cell-level toggle parity
+// ------------------------------------ cell-level fused vs unfused parity
 
 TEST(DcgruFusion, CellForwardBackwardBitIdenticalToReferencePath) {
-  SensorNetworkOptions opt;
-  opt.num_nodes = 10;
-  opt.k_neighbors = 3;
-  opt.seed = 91;
-  auto supports =
-      nn::GraphSupports::from(dual_random_walk_supports(build_sensor_network(opt).adjacency));
+  auto supports_for = [](std::uint64_t seed) {
+    SensorNetworkOptions opt;
+    opt.num_nodes = 10;
+    opt.k_neighbors = 3;
+    opt.seed = seed;
+    return nn::GraphSupports::from(
+        dual_random_walk_supports(build_sensor_network(opt).adjacency));
+  };
+  const nn::GraphSupports supports = supports_for(91);
+  // A different graph on the same nodes: the dynamic-topology overload
+  // must diffuse over these, not the construction-time supports.
+  const nn::GraphSupports dynamic = supports_for(98);
+  ASSERT_GT(ops::max_abs_diff(supports.mats[0].to_dense(), dynamic.mats[0].to_dense()),
+            0.0f);
   Rng rng(92);
   nn::DCGRUCell cell(3, 8, supports, 2, rng);
+  const nn::DcgruCellReference reference(cell, "");
   Tensor x = randn({4, 10, 3}, 93);
   Tensor h0 = randn({4, 10, 8}, 94);
 
-  ASSERT_TRUE(nn::gru_fusion_enabled());
-  Variable h_fused(h0.clone(), /*requires_grad=*/true);
-  Variable out_fused = cell.forward(Variable(x, false), h_fused);
-  // Two chained steps so the hidden state is consumed by a later cell
-  // too (the recurrent accumulation-order case).
-  out_fused = cell.forward(Variable(x, false), out_fused);
-  ag::sum_all(out_fused).backward();
-  std::vector<Tensor> grads_fused;
-  for (const Variable& p : cell.parameters()) grads_fused.push_back(p.grad().clone());
-  Tensor h_grad_fused = h_fused.grad().clone();
-  Tensor out_val_fused = out_fused.value().clone();
+  for (const bool dynamic_step : {false, true}) {
+    SCOPED_TRACE(dynamic_step ? "forward(x, h, supports)" : "forward(x, h)");
+    const Variable xv(x, false);
+    // Two chained steps so the hidden state is consumed by a later cell
+    // too (the recurrent accumulation-order case).
+    cell.zero_grad();
+    Variable h_fused(h0.clone(), /*requires_grad=*/true);
+    Variable out_fused = dynamic_step ? cell.forward(xv, h_fused, dynamic)
+                                      : cell.forward(xv, h_fused);
+    out_fused = dynamic_step ? cell.forward(xv, out_fused, dynamic)
+                             : cell.forward(xv, out_fused);
+    ag::sum_all(out_fused).backward();
+    std::vector<Tensor> grads_fused;
+    for (const Variable& p : cell.parameters()) grads_fused.push_back(p.grad().clone());
 
-  cell.zero_grad();
-  nn::set_gru_fusion_enabled(false);
-  Variable h_ref(h0.clone(), /*requires_grad=*/true);
-  Variable out_ref = cell.forward(Variable(x, false), h_ref);
-  out_ref = cell.forward(Variable(x, false), out_ref);
-  ag::sum_all(out_ref).backward();
-  nn::set_gru_fusion_enabled(true);
+    cell.zero_grad();
+    const nn::GraphSupports& step_supports = dynamic_step ? dynamic : supports;
+    Variable h_ref(h0.clone(), /*requires_grad=*/true);
+    Variable out_ref = reference.forward(xv, h_ref, step_supports);
+    out_ref = reference.forward(xv, out_ref, step_supports);
+    ag::sum_all(out_ref).backward();
 
-  expect_bits(out_val_fused, out_ref.value());
-  expect_bits(h_grad_fused, h_ref.grad());
-  const auto params = cell.parameters();
-  ASSERT_EQ(params.size(), grads_fused.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    expect_bits(grads_fused[i], params[i].grad());
+    expect_bits(out_fused.value(), out_ref.value());
+    expect_bits(h_fused.grad(), h_ref.grad());
+    const auto params = cell.parameters();
+    ASSERT_EQ(params.size(), grads_fused.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      expect_bits(grads_fused[i], params[i].grad());
+    }
   }
   cell.zero_grad();
 }
