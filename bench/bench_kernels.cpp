@@ -29,8 +29,8 @@ namespace {
 
 // Allocs-per-iteration column (DESIGN.md §16): real heap allocations
 // the measured region charged to the MemoryTracker, averaged over the
-// benchmark's iterations.  Arena pool hits and workspace-cache reuses
-// don't count, so steady-state kernels read 0 here (the one-time
+// benchmark's iterations.  Arena pool hits don't count (kernel scratch
+// included), so steady-state kernels read 0 here (the one-time
 // planning/warm-up allocations amortize below 1 at real iteration
 // counts).
 void set_alloc_counter(benchmark::State& state, std::uint64_t heap_before) {
@@ -489,7 +489,7 @@ void run_kernel_claims() {
     // Steady-state allocation freedom (DESIGN.md §16): after the
     // arena's first-step planning pass, a full DCGRU train step makes
     // zero heap allocations — every tensor, tape node buffer, and
-    // kernel workspace is a pool or cache hit.
+    // kernel scratch buffer is a pool hit.
     data::DatasetSpec spec = dcgru_bench_spec();
     SensorNetwork net = data::network_for(spec);
     auto bundle = core::make_model(core::ModelKind::kPgtDcrnn, spec, net, 64, 2, 1, 3);
@@ -501,7 +501,7 @@ void run_kernel_claims() {
       runtime::ArenaScope scope(arena);
       dcgru_step(bundle, [&] { return bundle.model->forward_seq(x); }, y);
     };
-    step();  // planning pass: populates the pool and the workspace cache
+    step();  // planning pass: populates the pool
     const std::uint64_t before = bench::heap_allocs();
     const int steps = 8;
     for (int i = 0; i < steps; ++i) step();

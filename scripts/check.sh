@@ -15,8 +15,13 @@
 #   CTEST_ARGS     extra ctest arguments (default: -L tier1)
 #   PGTI_SANITIZE  set to "thread" or "address" to ALSO build
 #                  <build-dir>-tsan / <build-dir>-asan with
-#                  -DPGTI_SANITIZE=<mode> and run the concurrency-heavy
-#                  tier-1 suites under it — dist_test,
+#                  -DPGTI_SANITIZE=<mode> and run tier-1 suites under
+#                  it.  The address build carries ASan and UBSan (every
+#                  UB report fatal) and runs every tier-1 suite; under
+#                  it the arena poisons recycled blocks between leases,
+#                  so stale reads of pooled memory fault instead of
+#                  silently reusing bits.  The thread build runs the
+#                  concurrency-heavy suites — dist_test,
 #                  dist_determinism_test, dist_prefetch_test (async
 #                  staging pipeline + PrefetchLoader abort/restart
 #                  stress), dist_transport_test (socket-vs-in-process
@@ -25,16 +30,14 @@
 #                  shared Trainer/DistTrainer pipeline at depth N),
 #                  grad_overlap_test (per-rank comm threads firing
 #                  ready-bucket all-reduces under backward, including
-#                  the mid-backward fault-injection sweep), and
+#                  the mid-backward fault-injection sweep),
 #                  kernel_fusion_test (the threaded blocked/fused
-#                  kernels and their parallel_for partitioning), and
+#                  kernels and their parallel_for partitioning),
 #                  arena_test (step-scoped pool recycling under the
-#                  prefetch pipeline; under ASan the arena poisons
-#                  recycled blocks between leases, so stale reads of
-#                  pooled memory fault instead of silently reusing
-#                  bits), and serve_test (client threads submitting
-#                  against the coalescing worker while a training
-#                  thread publishes copy-on-publish snapshots).
+#                  prefetch pipeline), and serve_test (client threads
+#                  submitting against the coalescing worker while a
+#                  training thread publishes copy-on-publish
+#                  snapshots).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -63,12 +66,13 @@ echo "none"
 
 echo
 echo "== alloc-free steady state gate: train step heap allocs must be 0 =="
-# Re-runs the arena suite's trainer-level assertions standalone so a
-# regression that reintroduces per-step heap traffic (a kernel
-# bypassing the workspace cache, a tensor allocated outside the step
-# scope) fails the gate by name even if someone trims the ctest label.
+# Re-runs the arena suite's alloc-free assertions standalone so a
+# regression that reintroduces per-step heap traffic (kernel scratch
+# that no longer recycles through the step arena, a tensor allocated
+# outside the step scope) fails the gate by name even if someone trims
+# the ctest label.
 "${build_dir}/arena_test" \
-  --gtest_filter='ArenaTrainer.SteadyStateTrainStepIsAllocFree:WorkspaceCache.MatmulNtScratchOneAllocationAcross100BackwardSteps'
+  --gtest_filter='ArenaTrainer.SteadyStateTrainStepIsAllocFree:TensorArena.KernelScratchRecyclesAcross100ScopedSteps'
 
 echo
 echo "== serving gate: micro-batch bit-parity + snapshot isolation =="
@@ -82,15 +86,18 @@ echo "== serving gate: micro-batch bit-parity + snapshot isolation =="
 sanitize="${PGTI_SANITIZE:-}"
 if [ -n "${sanitize}" ]; then
   case "${sanitize}" in
-    thread)  san_dir="${build_dir}-tsan" ;;
-    address) san_dir="${build_dir}-asan" ;;
+    thread)  san_dir="${build_dir}-tsan"
+             suites='^(dist_|epoch_engine|grad_overlap|kernel_fusion|arena|serve_)'
+             what="dist_* + epoch_engine + grad_overlap + kernel_fusion + arena + serve suites" ;;
+    address) san_dir="${build_dir}-asan"
+             suites='.'
+             what="every tier-1 suite under ASan + UBSan" ;;
     *) echo "PGTI_SANITIZE must be 'thread' or 'address', got '${sanitize}'" >&2
        exit 1 ;;
   esac
   echo
-  echo "== ${sanitize} sanitizer pass (dist_* + epoch_engine + grad_overlap + kernel_fusion + arena + serve suites) in ${san_dir} =="
+  echo "== ${sanitize} sanitizer pass (${what}) in ${san_dir} =="
   cmake -B "${san_dir}" -S "${repo_root}" -DPGTI_SANITIZE="${sanitize}" -DPGTI_WERROR=ON
   cmake --build "${san_dir}" -j "${jobs}"
-  ctest --test-dir "${san_dir}" --output-on-failure -j "${jobs}" -L tier1 \
-        -R '^(dist_|epoch_engine|grad_overlap|kernel_fusion|arena|serve_)'
+  ctest --test-dir "${san_dir}" --output-on-failure -j "${jobs}" -L tier1 -R "${suites}"
 fi

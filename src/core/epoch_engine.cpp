@@ -24,6 +24,9 @@ void BatchPipeline::start_epoch(int epoch, std::int64_t max_batches) {
 
 bool BatchPipeline::next(data::Batch& out) {
   const bool have = prefetch_ ? prefetch_->next(out) : loader_->next(out);
+  // Delivery k announces batch k+N (a no-op without lookahead);
+  // PrefetchLoader::next has already done so for its deliveries.
+  if (have && !prefetch_) loader_->announce_next_batch();
   // The delivery (prefetched or not) may have accumulated exposed
   // modeled fetch time at the provider; charge it on the consumer,
   // where the distributed trainer's cluster clock lives.

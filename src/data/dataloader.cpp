@@ -77,6 +77,9 @@ DataLoader::DataLoader(const SnapshotSource& source, const LoaderOptions& option
   if (range_begin < 0 || range_end > source.num_snapshots() || range_begin > range_end) {
     throw std::out_of_range("DataLoader: bad snapshot range");
   }
+  if (options.batch_size < 1) {
+    throw std::invalid_argument("DataLoader: batch_size must be >= 1");
+  }
 }
 
 void DataLoader::start_epoch(int epoch) {
@@ -135,7 +138,7 @@ void DataLoader::append_epoch_batches(const std::vector<std::int64_t>& order,
 }
 
 void DataLoader::announce_next_batch() {
-  if (options_.prefetch_lookahead <= 0 || !paced_announcements_) return;
+  if (options_.prefetch_lookahead <= 0) return;
   batch_ids_at(announce_cursor_, lookahead_ids_);
   if (lookahead_ids_.empty()) return;
   source_->prefetch_batch(lookahead_ids_);
@@ -217,25 +220,11 @@ bool DataLoader::next(Batch& out) {
     asm_y = &host_y_;
   }
 
-  if (options_.prefetch_lookahead > 0) {
-    // This batch was announced `depth` batches ago (or at
-    // start_epoch).  Who announces batch k+depth depends on pacing:
-    // with consumer pacing (PrefetchLoader) the consumer announces it
-    // after the k-th *delivery* via announce_next_batch(); without, it
-    // is announced here at stage time.  (Every non-tail batch starts
-    // at a multiple of batch_size, and past the tail the lookup is
-    // empty anyway.)
-    if (!paced_announcements_) {
-      batch_ids_at(cursor_ + static_cast<std::size_t>(options_.prefetch_lookahead) *
-                                 static_cast<std::size_t>(options_.batch_size),
-                   lookahead_ids_);
-      if (!lookahead_ids_.empty()) source_->prefetch_batch(lookahead_ids_);
-    }
-  } else {
-    // Announce the whole batch before staging it: remote-backed sources
-    // move the missing snapshots in one consolidated request per owner.
-    source_->prefetch_batch(out.indices);
-  }
+  // With lookahead this batch was announced at start_epoch or by an
+  // earlier delivery's announce_next_batch().  Without, announce the
+  // whole batch before staging it: remote-backed sources move the
+  // missing snapshots in one consolidated request per owner.
+  if (options_.prefetch_lookahead <= 0) source_->prefetch_batch(out.indices);
   for (std::int64_t i = 0; i < b; ++i) {
     const auto [xv, yv] = source_->get(out.indices[static_cast<std::size_t>(i)]);
     asm_x->select(0, i).copy_from(xv);

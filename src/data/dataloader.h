@@ -151,18 +151,20 @@ struct LoaderOptions {
   SimDevice* device = nullptr;
   /// Batches of lookahead announced to the source (0 = announce each
   /// batch right before staging it).  With depth N > 0 the loader
-  /// announces the epoch schedule plus batches 0..N-1 at start_epoch
-  /// and batch k+N while batch k stages, so an async-prefetching
-  /// source keeps N batches in flight in the background while the
-  /// current batch computes; epoch boundaries abandon announced
-  /// batches that were never consumed.
+  /// announces the epoch schedule plus batches 0..N-1 at start_epoch,
+  /// and the consumer announces batch k+N after the k-th delivery
+  /// (announce_next_batch), so an async-prefetching source keeps N
+  /// batches in flight in the background while the current batch
+  /// computes; epoch boundaries abandon announced batches that were
+  /// never consumed.
   int prefetch_lookahead = 0;
 };
 
 class DataLoader {
  public:
   /// Iterates snapshots [range_begin, range_end) of `source` (one of
-  /// the split ranges).  `source` must outlive the loader.
+  /// the split ranges).  `source` must outlive the loader.  Throws
+  /// std::invalid_argument when options.batch_size < 1.
   DataLoader(const SnapshotSource& source, const LoaderOptions& options,
              std::int64_t range_begin, std::int64_t range_end);
 
@@ -181,23 +183,13 @@ class DataLoader {
 
   int prefetch_lookahead() const noexcept { return options_.prefetch_lookahead; }
 
-  /// Consumer-paced announcements: when on, next() stops announcing
-  /// batch k+N at stage time — the *consumer* announces it by calling
-  /// announce_next_batch() after the k-th delivery.  Stage-time
-  /// announcing measures lookahead in *staged* batches, so a prefetch
-  /// worker running ahead of deliveries collapses every announcement
-  /// into the first compute window and the depth sweep saturates near
-  /// depth 2; delivery pacing keeps exactly N batches in flight ahead
-  /// of consumption.  PrefetchLoader turns this on for its inner
-  /// loader; synchronously driven loaders keep stage-time announcing
-  /// (there, staging IS consumption).
-  void set_paced_announcements(bool on) noexcept { paced_announcements_ = on; }
-
   /// Announces the next not-yet-announced batch of the current epoch
-  /// (no-op when the schedule is exhausted, lookahead is 0, or pacing
-  /// is off).  Called by the prefetch consumer once per delivery; safe
-  /// concurrently with the worker staging batches, because with pacing
-  /// on the staging path never touches announcement state.
+  /// (no-op when the schedule is exhausted or lookahead is 0).  The
+  /// consumer calls it once per delivery, so lookahead counts
+  /// *delivered* batches: a prefetch worker running ahead of
+  /// deliveries still keeps exactly N announced batches in flight.
+  /// Safe concurrently with a worker staging batches, because the
+  /// staging path never touches announcement state.
   void announce_next_batch();
 
   std::int64_t batches_per_epoch() const;
@@ -220,8 +212,7 @@ class DataLoader {
   std::int64_t range_end_;
   std::vector<std::int64_t> order_;
   std::size_t cursor_ = 0;
-  bool paced_announcements_ = false;
-  std::size_t announce_cursor_ = 0;  ///< next unannounced batch (paced mode)
+  std::size_t announce_cursor_ = 0;  ///< next unannounced batch
   std::int64_t max_batches_ = -1;
   mutable std::vector<std::int64_t> lookahead_ids_;  // reusable scratch
   mutable std::vector<std::int64_t> schedule_ids_;   // reusable scratch

@@ -7,14 +7,8 @@ namespace pgti::data {
 PrefetchLoader::PrefetchLoader(DataLoader& loader, int depth)
     : inner_(&loader),
       slots_(static_cast<std::size_t>(std::max(depth, 1) + 1)),
-      slot_full_(slots_.size(), 0) {
-  if (loader.prefetch_lookahead() > 0) {
-    // The worker outruns deliveries by design, so stage-time
-    // announcing would collapse the lookahead window; pace
-    // announcements by delivery instead (one per consumed batch).
-    loader.set_paced_announcements(true);
-    paced_ = true;
-  }
+      slot_full_(slots_.size(), 0),
+      paced_(loader.prefetch_lookahead() > 0) {
   worker_ = std::thread([this] { worker_loop(); });
 }
 

@@ -148,11 +148,11 @@ void Csr::spmm_rows(const float* x, float* y, std::int64_t c, std::int64_t r_lo,
 Tensor Csr::spmm_impl(const Tensor& x, const float* bias, ops::Act act,
                       const char* what) const {
   // Strided x (a view from index-batching) needs dense staging before
-  // the row gather; stage_dense leases the buffer from the
-  // WorkspaceCache and is a no-op for contiguous x.  It lives in its
-  // own translation unit so the staging loops don't eat into this
-  // file's inlining budget around the hot row-gather dispatch below.
-  runtime::WorkspaceCache::Handle stage;
+  // the row gather; stage_dense packs it into `stage` and is a no-op
+  // for contiguous x.  It lives in its own translation unit so the
+  // staging loops don't eat into this file's inlining budget around
+  // the hot row-gather dispatch below.
+  Tensor stage;
   if (x.dim() == 2) {
     if (x.size(0) != cols_) {
       throw std::invalid_argument(std::string(what) + ": x must be [cols, C]");

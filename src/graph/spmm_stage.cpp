@@ -9,19 +9,16 @@
 namespace pgti::detail {
 
 // Dense staging for strided SpMM inputs (views from index-batching).
-// The buffer is leased from the WorkspaceCache instead of cloning into
-// a fresh tensor: spmm runs at the same shapes every step, so
-// steady-state calls recycle one buffer per shape.  Contiguous inputs
-// skip the copy entirely and the lease stays empty.
+// The packed copy is an ordinary tensor, so inside a train step the
+// arena recycles it like every other step tensor.  Contiguous inputs
+// skip the copy entirely and `stage` stays undefined.
 //
 // This lives in its own translation unit on purpose: the staging
 // loops vectorize into a lot of code, and keeping them out of csr.cpp
 // leaves the hot spmm_rows/spmm_impl inlining budget untouched.
-const float* stage_dense(const Tensor& t, runtime::WorkspaceCache::Handle& stage,
-                         const char* what) {
+const float* stage_dense(const Tensor& t, Tensor& stage, const char* what) {
   if (t.is_contiguous()) return t.data();
-  stage = runtime::WorkspaceCache::instance().acquire("spmm_stage", t.numel(),
-                                                      t.space());
+  stage = Tensor::empty(t.shape(), t.space());
   float* dst = stage.data();
   if (t.dim() == 2) {
     const std::int64_t r = t.size(0), c = t.size(1);

@@ -1,15 +1,13 @@
 #pragma once
 
-#include "runtime/workspace.h"
 #include "tensor/tensor.h"
 
 namespace pgti::detail {
 
 /// Returns a dense contiguous view of `t` for SpMM row gathers: `t`'s
 /// own data pointer when it is already contiguous, otherwise a packed
-/// copy in a buffer leased from the WorkspaceCache via `stage` (the
-/// lease pins the buffer for the caller's scope).  Rank 2 or 3 only.
-const float* stage_dense(const Tensor& t, runtime::WorkspaceCache::Handle& stage,
-                         const char* what);
+/// copy in a fresh tensor assigned to `stage` (which keeps the copy
+/// alive for the caller's scope).  Rank 2 or 3 only.
+const float* stage_dense(const Tensor& t, Tensor& stage, const char* what);
 
 }  // namespace pgti::detail

@@ -72,10 +72,10 @@ class MemoryTracker {
 
   /// Records an allocation; throws OutOfMemoryError when over limit.
   /// `from_heap` distinguishes real heap allocations from charges
-  /// served by a pool (TensorArena / WorkspaceCache reuse): both count
-  /// toward usage, limits, and alloc_count, but only heap allocations
-  /// advance heap_alloc_count — the number the "alloc-free after
-  /// warmup" claims are measured against.
+  /// served by a pool (TensorArena reuse): both count toward usage,
+  /// limits, and alloc_count, but only heap allocations advance
+  /// heap_alloc_count — the number the "alloc-free after warmup"
+  /// claims are measured against.
   void on_alloc(MemorySpaceId space, std::size_t bytes, bool from_heap = true);
 
   /// Records a deallocation.

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "runtime/thread_pool.h"
-#include "runtime/workspace.h"
 
 namespace pgti::ops {
 namespace {
@@ -247,28 +246,13 @@ void axpy_(float alpha, const Tensor& x, Tensor& y) {
   });
 }
 
-void sigmoid_(Tensor& t) {
-  unary_inplace(t, "sigmoid_", [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-void tanh_(Tensor& t) {
-  unary_inplace(t, "tanh_", [](float x) { return std::tanh(x); });
-}
-void relu_(Tensor& t) {
-  unary_inplace(t, "relu_", [](float x) { return x > 0.0f ? x : 0.0f; });
-}
 void apply_act_(Tensor& t, Act act) {
   if (act == Act::kIdentity) return;
   unary_inplace(t, "apply_act_", [act](float x) { return act_apply(act, x); });
 }
 
-void add_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  binary_into(a, b, out, "add_into", [](float x, float y) { return x + y; });
-}
 void sub_into(const Tensor& a, const Tensor& b, Tensor& out) {
   binary_into(a, b, out, "sub_into", [](float x, float y) { return x - y; });
-}
-void mul_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  binary_into(a, b, out, "mul_into", [](float x, float y) { return x * y; });
 }
 
 Tensor sigmoid(const Tensor& t) {
@@ -364,11 +348,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   // run the same j-panel-vectorized kernel as matmul.  Accumulation per
   // element is still a single k-ascending chain — identical bits to
   // the dot-product form, ~10x faster at backward shapes.  The [K, N]
-  // scratch is leased from the WorkspaceCache: backward calls this at
-  // the same shapes every step, so after the first step the transpose
-  // buffer is recycled instead of reallocated.
-  runtime::WorkspaceCache::Handle bt =
-      runtime::WorkspaceCache::instance().acquire("matmul_nt_bt", K * N, b.space());
+  // scratch is an ordinary tensor: inside a train step the arena
+  // recycles it like every other step tensor (DESIGN.md §16).
+  Tensor bt = Tensor::empty({K, N}, b.space());
   const float* pb = b.data();
   float* pbt = bt.data();
   parallel_for(0, N, std::max<std::int64_t>(1, kGrain / std::max<std::int64_t>(1, K)),
@@ -441,10 +423,8 @@ Tensor matmul_nt_act_backward(const Tensor& g, const Tensor& y, Act act,
     throw std::invalid_argument("matmul_nt_act_backward: incompatible shapes");
   }
   const std::int64_t M = g.size(0), K = g.size(1), N = w.size(0);
-  // Same W transpose as matmul_nt(dz, w) — and the same workspace key,
-  // so the fused and unfused backward share one cached scratch buffer.
-  runtime::WorkspaceCache::Handle wt =
-      runtime::WorkspaceCache::instance().acquire("matmul_nt_bt", K * N, w.space());
+  // Same W transpose scratch as matmul_nt(dz, w).
+  Tensor wt = Tensor::empty({K, N}, w.space());
   const float* pw = w.data();
   float* pwt = wt.data();
   parallel_for(0, N, std::max<std::int64_t>(1, kGrain / std::max<std::int64_t>(1, K)),

@@ -58,17 +58,10 @@ void sub_(Tensor& a, const Tensor& b);           ///< a -= b
 void mul_(Tensor& a, const Tensor& b);           ///< a *= b
 void scale_(Tensor& a, float s);                 ///< a *= s
 void axpy_(float alpha, const Tensor& x, Tensor& y);  ///< y += alpha * x
-void sigmoid_(Tensor& t);                        ///< t = sigmoid(t)
-void tanh_(Tensor& t);                           ///< t = tanh(t)
-void relu_(Tensor& t);                           ///< t = relu(t)
 void apply_act_(Tensor& t, Act act);             ///< t = act(t)
 
 // --- output-reusing binary (out preallocated; may alias a or b) --------
-// Elementwise chains that would otherwise allocate one tensor per op
-// write into an existing buffer instead.
-void add_into(const Tensor& a, const Tensor& b, Tensor& out);  ///< out = a + b
 void sub_into(const Tensor& a, const Tensor& b, Tensor& out);  ///< out = a - b
-void mul_into(const Tensor& a, const Tensor& b, Tensor& out);  ///< out = a * b
 
 // --- unary ---------------------------------------------------------------
 Tensor sigmoid(const Tensor& t);

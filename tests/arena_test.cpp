@@ -1,11 +1,12 @@
 // The alloc-free steady state (DESIGN.md §16): TensorArena bucket
 // reuse and high-water planning, ArenaScope nesting and exception
-// unwinding, MemoryTracker limits enforced through the arena,
-// WorkspaceCache recycling for the matmul_nt transpose scratch, the
-// fused backward epilogue's bit-parity and gradcheck, and the
-// end-to-end claims — losses bit-identical arena-on vs arena-off for
-// every strategy x world x prefetch depth, and zero heap allocations
-// per train step after the first (planning) step.
+// unwinding, MemoryTracker limits enforced through the arena, arena
+// recycling of kernel scratch (the matmul_nt transpose and SpMM's
+// staging copy), the fused backward epilogue's bit-parity and
+// gradcheck, and the end-to-end claims — losses bit-identical
+// arena-on vs arena-off for every strategy x world x prefetch depth,
+// and zero heap allocations per train step after the first (planning)
+// step.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,7 +18,6 @@
 #include "data/dataset_spec.h"
 #include "data/prefetch.h"
 #include "runtime/arena.h"
-#include "runtime/workspace.h"
 #include "tensor/tensor_ops.h"
 
 namespace pgti {
@@ -25,7 +25,6 @@ namespace {
 
 using runtime::ArenaScope;
 using runtime::TensorArena;
-using runtime::WorkspaceCache;
 
 // Restores the process-wide arena toggle even if a test fails mid-way.
 struct ArenaToggleGuard {
@@ -189,32 +188,47 @@ TEST(TensorArena, MemoryTrackerLimitEnforcedThroughArena) {
   tracker.set_limit(space, 0);
 }
 
-// --------------------------------------------------------- workspace cache
+// ------------------------------------------------------ kernel scratch
 
-TEST(WorkspaceCache, MatmulNtScratchOneAllocationAcross100BackwardSteps) {
-  // Deliberately odd shapes so this key is unique to the test.
+TEST(TensorArena, KernelScratchRecyclesAcross100ScopedSteps) {
+  // Kernel scratch is an ordinary step tensor: matmul_nt and the fused
+  // backward epilogue take their [K, N] transpose with Tensor::empty,
+  // and SpMM packs a strided input into a staging tensor.  Inside a
+  // scope the arena recycles all of it, so after the planning step no
+  // kernel touches the heap.  Each step compares in place (no clones),
+  // so the planning step takes exactly the blocks later steps replay.
   Rng rng(7);
   const Tensor g = Tensor::randn({31, 37}, rng);
+  Tensor y = Tensor::randn({31, 37}, rng);
+  ops::apply_act_(y, ops::Act::kTanh);
   const Tensor w = Tensor::randn({23, 37}, rng);
-  const auto before = WorkspaceCache::instance().stats();
-  Tensor first = ops::matmul_nt(g, w);
-  for (int i = 0; i < 99; ++i) {
-    Tensor da = ops::matmul_nt(g, w);
-    ASSERT_TRUE(same_bits(da, first));
-  }
-  const auto after = WorkspaceCache::instance().stats();
-  EXPECT_EQ(after.acquires - before.acquires, 100u);
-  EXPECT_EQ(after.allocations - before.allocations, 1u);
-}
+  SensorNetworkOptions net;
+  net.num_nodes = 70;  // two SpMM row blocks
+  const Csr p = build_sensor_network(net).adjacency.row_normalized();
+  const Tensor x = Tensor::randn({5, 70}, rng).transpose(0, 1);
+  ASSERT_FALSE(x.is_contiguous());  // takes the staging path
 
-TEST(WorkspaceCache, ConcurrentLeasesOfOneKeyGetDistinctBuffers) {
-  auto h1 = WorkspaceCache::instance().acquire("arena-test-key", 512);
-  auto h2 = WorkspaceCache::instance().acquire("arena-test-key", 512);
-  EXPECT_NE(h1.data(), h2.data());
-  float* p1 = h1.data();
-  h1.reset();
-  auto h3 = WorkspaceCache::instance().acquire("arena-test-key", 512);
-  EXPECT_EQ(h3.data(), p1);  // released buffer is recycled
+  Tensor dz_ref = Tensor::empty({31, 37});
+  const Tensor nt_ref = ops::matmul_nt(g, w);
+  const Tensor fused_ref = ops::matmul_nt_act_backward(g, y, ops::Act::kTanh, w, dz_ref);
+  const Tensor spmm_ref = p.spmm(x);
+
+  TensorArena arena;
+  Tensor dz = Tensor::empty({31, 37});
+  std::uint64_t h0 = 0;
+  for (int step = 0; step < 100; ++step) {
+    if (step == 1) h0 = MemoryTracker::instance().heap_allocs_total();
+    ArenaScope scope(arena);
+    const Tensor nt = ops::matmul_nt(g, w);
+    const Tensor fused = ops::matmul_nt_act_backward(g, y, ops::Act::kTanh, w, dz);
+    const Tensor sp = p.spmm(x);
+    ASSERT_TRUE(same_bits(nt, nt_ref)) << "step " << step;
+    ASSERT_TRUE(same_bits(fused, fused_ref)) << "step " << step;
+    ASSERT_TRUE(same_bits(dz, dz_ref)) << "step " << step;
+    ASSERT_TRUE(same_bits(sp, spmm_ref)) << "step " << step;
+  }
+  EXPECT_EQ(MemoryTracker::instance().heap_allocs_total() - h0, 0u);
+  EXPECT_GT(arena.stats().pool_hits, 0u);
 }
 
 // ------------------------------------------------- fused backward epilogue

@@ -257,6 +257,18 @@ TEST_F(LoaderTest, BadRangeRejected) {
                std::out_of_range);
 }
 
+TEST_F(LoaderTest, NonPositiveBatchSizeRejected) {
+  // Without the check, batches_per_epoch() divides by zero and a
+  // lookahead start_epoch never advances past its first batch.
+  for (std::int64_t batch_size : {0, -1}) {
+    LoaderOptions opt;
+    opt.batch_size = batch_size;
+    opt.prefetch_lookahead = 2;
+    EXPECT_THROW(DataLoader(*source_, opt, 0, 10), std::invalid_argument)
+        << "batch_size " << batch_size;
+  }
+}
+
 TEST_F(LoaderTest, SamplesPerEpochSplitsEvenly) {
   LoaderOptions opt;
   opt.batch_size = 8;

@@ -1,7 +1,9 @@
 // The shared Trainer/DistTrainer epoch pipeline (DESIGN.md §12):
 //
 //  * BatchPipeline delivers the inner loader's exact batch sequence at
-//    every prefetch depth (the bit-identical-losses contract);
+//    every prefetch depth (the bit-identical-losses contract) and
+//    announces each batch once, in delivery order, whether a
+//    lookahead loader is driven synchronously or by a PrefetchLoader;
 //  * the single-process Trainer runs the same engine at depth 0/1/2/4
 //    with identical losses for kIndex AND kGpuIndex, and a prefetched
 //    device run hides part of the modeled PCIe leg
@@ -10,6 +12,8 @@
 //    this suite runs under both sanitizer passes via scripts/check.sh.
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/epoch_engine.h"
@@ -48,13 +52,41 @@ void expect_identical_curves(const TrainResult& a, const TrainResult& b,
 
 // ------------------------------------------------- BatchPipeline
 
+// Forwards to an IndexSource and records every prefetch_batch
+// announcement in call order.  A prefetch worker (start_epoch) and the
+// consumer (announce_next_batch) both announce, hence the lock.
+class RecordingSource final : public data::SnapshotSource {
+ public:
+  explicit RecordingSource(const data::IndexDataset& ds) : inner_(ds) {}
+  std::pair<Tensor, Tensor> get(std::int64_t i) const override { return inner_.get(i); }
+  void prefetch_batch(const std::vector<std::int64_t>& ids) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    announced_.push_back(ids);
+  }
+  std::int64_t num_snapshots() const override { return inner_.num_snapshots(); }
+  MemorySpaceId space() const override { return inner_.space(); }
+  const data::StandardScaler& scaler() const override { return inner_.scaler(); }
+  const data::SplitRanges& splits() const override { return inner_.splits(); }
+  const data::DatasetSpec& spec() const override { return inner_.spec(); }
+
+  std::vector<std::vector<std::int64_t>> take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(announced_, {});
+  }
+
+ private:
+  data::IndexSource inner_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::vector<std::int64_t>> announced_;
+};
+
 TEST(BatchPipeline, DeliversExactSequenceAtEveryDepth) {
   data::DatasetSpec spec = data::spec_for(data::DatasetKind::kPemsBay).scaled(64);
   spec.horizon = 4;
   SensorNetwork net = data::network_for(spec);
   Tensor raw = data::generate_signal(spec, net, 7);
   data::IndexDataset ds(raw, spec);
-  data::IndexSource source(ds);
+  RecordingSource source(ds);
   data::LoaderOptions opt;
   opt.batch_size = 8;
   opt.sampler = data::SamplerOptions{data::ShuffleMode::kGlobal, 0, 1, 5, 8};
@@ -65,10 +97,17 @@ TEST(BatchPipeline, DeliversExactSequenceAtEveryDepth) {
   data::Batch b;
   while (plain.next(b)) expected.push_back(b.indices);
   ASSERT_FALSE(expected.empty());
+  source.take();
 
-  for (int depth : {0, 1, 2, 4}) {
+  // {lookahead, depth}.  Lookahead 2 driven synchronously (depth 0)
+  // relies on BatchPipeline announcing after each delivery, as a
+  // depth-2 PrefetchLoader does; both must announce every batch once,
+  // in delivery order.
+  std::vector<std::vector<std::int64_t>> announced_sync, announced_depth2;
+  const std::vector<std::pair<int, int>> cases = {{0, 0}, {2, 0}, {1, 1}, {2, 2}, {4, 4}};
+  for (const auto& [lookahead, depth] : cases) {
     data::LoaderOptions dopt = opt;
-    dopt.prefetch_lookahead = depth;
+    dopt.prefetch_lookahead = lookahead;
     data::DataLoader inner(source, dopt, 0, 120);
     BatchPipeline pipe(inner, depth);
     pipe.start_epoch(3);
@@ -79,7 +118,13 @@ TEST(BatchPipeline, DeliversExactSequenceAtEveryDepth) {
       ++i;
     }
     EXPECT_EQ(i, expected.size()) << "depth " << depth;
+    std::vector<std::vector<std::int64_t>> announced = source.take();
+    EXPECT_EQ(announced, expected) << "lookahead " << lookahead << " depth " << depth;
+    if (depth == 0 && lookahead == 2) announced_sync = std::move(announced);
+    if (depth == 2) announced_depth2 = std::move(announced);
   }
+  ASSERT_FALSE(announced_depth2.empty());
+  EXPECT_EQ(announced_sync, announced_depth2);
 }
 
 TEST(BatchPipeline, PerBatchHookFiresOncePerDeliveredBatch) {
