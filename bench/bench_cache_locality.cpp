@@ -125,14 +125,14 @@ int main() {
   // ---- claim 4: depth sweep — the tail actually drops with depth.
   // W=4, global shuffle (remote-heavy), with enough compute per batch
   // that each extra batch of lookahead visibly widens the window the
-  // staging hides behind.  Consumer-paced announcements keep exactly
-  // `depth` batches in flight ahead of consumption (stage-time
-  // announcing used to collapse the whole window into the epoch-start
-  // burst and saturate the sweep near depth 2), so exposed fetch
-  // seconds are monotonically non-increasing in depth AND strictly
-  // lower at depth 4 than depth 1, while the remote-cache hit rate
-  // (schedule-aware eviction protects still-scheduled residents) does
-  // not regress.
+  // staging hides behind.  The prefetch worker's budget gate keeps
+  // exactly `depth` batches announced ahead of consumption (without
+  // it, a worker running ahead collapsed the whole window into the
+  // epoch-start burst and saturated the sweep near depth 2), so
+  // exposed fetch seconds are monotonically non-increasing in depth
+  // AND strictly lower at depth 4 than depth 1, while the remote-cache
+  // hit rate (schedule-aware eviction protects still-scheduled
+  // residents) does not regress.
   core::DistConfig sweep_cfg = locality_config(core::DistMode::kBaselineDdp);
   sweep_cfg.epochs = 2;
   sweep_cfg.max_batches_per_epoch = 6;
@@ -178,7 +178,7 @@ int main() {
                      sweep_losses_identical,
                  "exposed fetch seconds are monotonically non-increasing in "
                  "prefetch depth at W=4 and strictly lower at depth 4 than "
-                 "depth 1 (paced announcements keep the sweep a real sweep), "
+                 "depth 1 (the budget gate keeps the sweep a real sweep), "
                  "the cache hit rate does not regress, and every loss stays "
                  "bit-identical with the synchronous run");
 

@@ -5,8 +5,10 @@
 # in-process losses byte for byte across forked rank processes, an
 # oracle gate proving libpgti.a carries no `_reference` kernel and no
 # `gru_fusion` switch (those live in the test-and-bench-only
-# pgti_reference library), and the alloc-free and serving gates re-run
-# by test name.
+# pgti_reference library), the alloc-free and serving gates re-run by
+# test name, and a benchmark smoke proving the benchmark/ harness
+# still builds against the library and passes every gate at smoke
+# scale (benchmark/run.sh --smoke, built in build-bench/).
 #
 #   scripts/check.sh [build-dir]
 #
@@ -22,8 +24,9 @@
 #                  so stale reads of pooled memory fault instead of
 #                  silently reusing bits.  The thread build runs the
 #                  concurrency-heavy suites — dist_test,
-#                  dist_determinism_test, dist_prefetch_test (async
-#                  staging pipeline + PrefetchLoader abort/restart
+#                  dist_determinism_test, dist_prefetch_test
+#                  (worker-announced staging, reader ranks under
+#                  concurrent traffic, PrefetchLoader abort/restart
 #                  stress), dist_transport_test (socket-vs-in-process
 #                  bit identity, the TCP fault sweeps, and the SimClock
 #                  concurrent-charge hammer), epoch_engine_test (the
@@ -82,6 +85,14 @@ echo "== serving gate: micro-batch bit-parity + snapshot isolation =="
 # training thread must never bleed into a captured snapshot.
 "${build_dir}/serve_test" \
   --gtest_filter='ServeBitParity.CoalescedBatchMatchesSequentialForwards:ServeSnapshot.PublishFromTrainingThreadIsolatesVersions'
+
+echo
+echo "== benchmark smoke: the benchmark/ harness builds and every gate passes =="
+# The harness calls the library's public API (DistStore's
+# constructors, BatchPipeline, DistTrainer); a change to it that breaks
+# the harness build, or a workload that fails a gate, fails here rather
+# than only in a full benchmark run.  run.sh exits non-zero on either.
+"${repo_root}/benchmark/run.sh" --smoke
 
 sanitize="${PGTI_SANITIZE:-}"
 if [ -n "${sanitize}" ]; then

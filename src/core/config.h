@@ -93,14 +93,15 @@ struct DistConfig {
   /// the snapshot bound; 0 = no byte bound.
   std::int64_t store_cache_bytes = 0;
   /// Batches of lookahead in the distributed data pipeline (0 = fully
-  /// synchronous).  With depth N the baseline store stages announced
-  /// batches on per-rank background threads (prefetch_batch becomes an
-  /// async enqueue), loaders announce N batches ahead plus the epoch
-  /// schedule (which the store's cache evicts around), and batch
-  /// assembly runs through a depth-N PrefetchLoader ring.  Batch
-  /// contents and losses are bit-identical across every depth; only
-  /// the *exposed* share of modeled fetch time (what the cluster is
-  /// charged) shrinks as depth grows.
+  /// synchronous).  With depth N batch assembly runs through a depth-N
+  /// PrefetchLoader ring whose worker announces each batch to the
+  /// baseline store right before staging it, so the store copies the
+  /// batch's remote snapshots on that worker, up to N batches ahead of
+  /// consumption; loaders also announce the epoch schedule (which the
+  /// store's cache evicts around).  Batch contents and losses are
+  /// bit-identical across every depth; only the *exposed* share of
+  /// modeled fetch time (what the cluster is charged) shrinks as depth
+  /// grows.
   int prefetch_depth = 0;
   /// Gradient-plane overlap: fire per-bucket all-reduces from a
   /// per-rank comm thread as buckets become ready during backward

@@ -317,15 +317,14 @@ DistResult DistTrainer::run() {
     // materialized snapshots live in the store, each rank owns a
     // contiguous shard, and remote batches move actual bytes through a
     // bounded per-rank cache.  The store owns its cache defaults
-    // (store_cache_snapshots < 0 resolves inside it) and, with
-    // prefetch_depth > 0, stages announced batches on per-rank
-    // background threads so only the exposed share of modeled fetch
-    // time is charged.  The overlap split is classified when batches
-    // reach the consumer (the per-batch pipeline hook below).
+    // (store_cache_snapshots < 0 resolves inside it).  Whoever
+    // announces a batch stages it — with prefetch_depth > 0, each
+    // rank's PrefetchLoader worker — and the overlap split is
+    // classified when batches reach the consumer (the per-batch
+    // pipeline hook in rank_main), so only the exposed share of
+    // modeled fetch time is charged.
     store.emplace(data::StandardDataset(raw, spec), cfg_.world, cluster.network(),
-                  cfg_.store_cache_snapshots,
-                  cfg_.store_cache_bytes,
-                  /*async_prefetch=*/cfg_.prefetch_depth > 0);
+                  cfg_.store_cache_snapshots, cfg_.store_cache_bytes);
   } else if (cfg_.mode == DistMode::kGeneralizedIndex) {
     Tensor stage1 = data::add_time_feature(raw, spec, kHostSpace);
     global_scaler = data::fit_scaler(stage1, spec);

@@ -24,9 +24,6 @@ void BatchPipeline::start_epoch(int epoch, std::int64_t max_batches) {
 
 bool BatchPipeline::next(data::Batch& out) {
   const bool have = prefetch_ ? prefetch_->next(out) : loader_->next(out);
-  // Delivery k announces batch k+N (a no-op without lookahead);
-  // PrefetchLoader::next has already done so for its deliveries.
-  if (have && !prefetch_) loader_->announce_next_batch();
   // The delivery (prefetched or not) may have accumulated exposed
   // modeled fetch time at the provider; charge it on the consumer,
   // where the distributed trainer's cluster clock lives.
@@ -44,10 +41,10 @@ void EpochEngine::account_staging(const data::Batch& batch, bool prefetched) {
   if (batch.modeled_staging_seconds <= 0.0) return;
   double exposed = batch.modeled_staging_seconds;
   if (prefetched) {
-    // Mirrors DistStore's first-need classification: the wall window
-    // between the worker staging (and uploading) the batch and the
-    // consumer needing it is real compute the modeled transfer hid
-    // behind; only the remainder stays on the critical path.
+    // Mirrors DistStore's delivery-time classification: the wall
+    // window between the worker staging (and uploading) the batch and
+    // its delivery is real compute the modeled transfer hid behind;
+    // only the remainder stays on the critical path.
     const double window = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - batch.staged_at)
                               .count();

@@ -88,8 +88,8 @@ void DataLoader::start_epoch(int epoch) {
   order_ = sample_epoch(range_begin_, range_end_, s, epoch);
   cursor_ = 0;
   if (options_.prefetch_lookahead > 0) {
-    // A truncated previous epoch may have left announcements that were
-    // never consumed; release them first.
+    // A truncated previous epoch may have left batches that were
+    // staged but never delivered; release them first.
     source_->abandon_prefetches();
     // Announce the epoch's full consumption order (batch by batch,
     // respecting drop_last and the max-batches cap): schedule-aware
@@ -104,19 +104,6 @@ void DataLoader::start_epoch(int epoch) {
     append_epoch_batches(sample_epoch(range_begin_, range_end_, s, epoch + 1),
                          schedule_ids_);
     source_->announce_schedule(schedule_ids_);
-    // Kick off the first `depth` batches so they stage while the
-    // caller finishes its own epoch setup.
-    int announced = 0;
-    for (int j = 0; j < options_.prefetch_lookahead; ++j) {
-      batch_ids_at(static_cast<std::size_t>(j) *
-                       static_cast<std::size_t>(options_.batch_size),
-                   lookahead_ids_);
-      if (lookahead_ids_.empty()) break;
-      source_->prefetch_batch(lookahead_ids_);
-      ++announced;
-    }
-    announce_cursor_ = static_cast<std::size_t>(announced) *
-                       static_cast<std::size_t>(options_.batch_size);
   }
 }
 
@@ -137,14 +124,6 @@ void DataLoader::append_epoch_batches(const std::vector<std::int64_t>& order,
   }
 }
 
-void DataLoader::announce_next_batch() {
-  if (options_.prefetch_lookahead <= 0) return;
-  batch_ids_at(announce_cursor_, lookahead_ids_);
-  if (lookahead_ids_.empty()) return;
-  source_->prefetch_batch(lookahead_ids_);
-  announce_cursor_ += static_cast<std::size_t>(options_.batch_size);
-}
-
 std::int64_t DataLoader::samples_per_epoch() const {
   SamplerOptions s = options_.sampler;
   s.batch_size = options_.batch_size;
@@ -162,25 +141,24 @@ std::int64_t DataLoader::batches_per_epoch() const {
                             : (n + options_.batch_size - 1) / options_.batch_size;
 }
 
-void DataLoader::batch_ids_at(std::size_t cursor,
-                              std::vector<std::int64_t>& out) const {
+void DataLoader::next_batch_ids(std::vector<std::int64_t>& out) const {
   out.clear();
   if (max_batches_ >= 0 &&
-      static_cast<std::int64_t>(cursor) >= max_batches_ * options_.batch_size) {
+      static_cast<std::int64_t>(cursor_) >= max_batches_ * options_.batch_size) {
     return;
   }
   const std::int64_t remaining = static_cast<std::int64_t>(order_.size()) -
-                                 static_cast<std::int64_t>(cursor);
+                                 static_cast<std::int64_t>(cursor_);
   if (remaining <= 0) return;
   const std::int64_t b = std::min<std::int64_t>(options_.batch_size, remaining);
   if (options_.drop_last && b < options_.batch_size) return;
-  out.insert(out.end(), order_.begin() + static_cast<std::ptrdiff_t>(cursor),
-             order_.begin() + static_cast<std::ptrdiff_t>(cursor) +
+  out.insert(out.end(), order_.begin() + static_cast<std::ptrdiff_t>(cursor_),
+             order_.begin() + static_cast<std::ptrdiff_t>(cursor_) +
                  static_cast<std::ptrdiff_t>(b));
 }
 
 bool DataLoader::next(Batch& out) {
-  batch_ids_at(cursor_, out.indices);
+  next_batch_ids(out.indices);
   if (out.indices.empty()) return false;
   const std::int64_t b = static_cast<std::int64_t>(out.indices.size());
   out.staged_at = std::chrono::steady_clock::now();
@@ -220,11 +198,10 @@ bool DataLoader::next(Batch& out) {
     asm_y = &host_y_;
   }
 
-  // With lookahead this batch was announced at start_epoch or by an
-  // earlier delivery's announce_next_batch().  Without, announce the
-  // whole batch before staging it: remote-backed sources move the
-  // missing snapshots in one consolidated request per owner.
-  if (options_.prefetch_lookahead <= 0) source_->prefetch_batch(out.indices);
+  // Announce the whole batch right before staging it: remote-backed
+  // sources move the missing snapshots in one consolidated request per
+  // owner, on this thread.
+  source_->prefetch_batch(out.indices);
   for (std::int64_t i = 0; i < b; ++i) {
     const auto [xv, yv] = source_->get(out.indices[static_cast<std::size_t>(i)]);
     asm_x->select(0, i).copy_from(xv);

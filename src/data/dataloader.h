@@ -36,19 +36,22 @@ class SnapshotSource {
  public:
   virtual ~SnapshotSource() = default;
   virtual std::pair<Tensor, Tensor> get(std::int64_t i) const = 0;
-  /// Called by the loader once per batch with the snapshot ids about
-  /// to be staged, before any get() for them.  Sources backed by
-  /// remote storage override it to fetch in consolidated requests;
-  /// purely local sources ignore it.
+  /// Called by the loader once per batch, on the thread that stages
+  /// it, with the snapshot ids about to be staged, before any get()
+  /// for them.  Sources backed by remote storage override it to move
+  /// the batch in consolidated requests before it returns; purely
+  /// local sources ignore it.
   virtual void prefetch_batch(const std::vector<std::int64_t>& ids) const {
     (void)ids;
   }
-  /// Releases announced-but-unconsumed prefetches (the loader calls it
-  /// at epoch boundaries when lookahead announcements may have outrun
-  /// consumption).  No-op for purely local sources.
+  /// Releases prefetches no consumer will take (the loader calls it at
+  /// epoch boundaries when a prefetch worker may have staged batches a
+  /// truncated epoch never delivered).  No-op for purely local
+  /// sources.
   virtual void abandon_prefetches() const {}
   /// Announces the epoch's full consumption order (called once per
-  /// start_epoch when lookahead is on, before any prefetch_batch).
+  /// start_epoch when prefetch_lookahead > 0, before any
+  /// prefetch_batch).
   /// Schedule-aware caches use it to pick eviction victims: an entry
   /// scheduled for a nearer-future batch outlives already-consumed
   /// ones.  No-op for purely local sources.
@@ -149,14 +152,14 @@ struct LoaderOptions {
   /// there (incurring PCIe transfers unless the source data already
   /// lives on the device).
   SimDevice* device = nullptr;
-  /// Batches of lookahead announced to the source (0 = announce each
-  /// batch right before staging it).  With depth N > 0 the loader
-  /// announces the epoch schedule plus batches 0..N-1 at start_epoch,
-  /// and the consumer announces batch k+N after the k-th delivery
-  /// (announce_next_batch), so an async-prefetching source keeps N
-  /// batches in flight in the background while the current batch
-  /// computes; epoch boundaries abandon announced batches that were
-  /// never consumed.
+  /// Set > 0 when a depth-N PrefetchLoader drives this loader (callers
+  /// pass N).  Every batch is announced right before it is staged
+  /// either way; how far ahead of consumption that happens is the
+  /// PrefetchLoader's budget gate.  A positive value makes
+  /// start_epoch release the previous epoch's undelivered prefetches
+  /// (abandon_prefetches) and announce this epoch's consumption order
+  /// followed by the next epoch's (announce_schedule), which
+  /// schedule-aware caches evict around.
   int prefetch_lookahead = 0;
 };
 
@@ -176,31 +179,20 @@ class DataLoader {
 
   /// Caps batches per epoch (-1 = none).  Callers that stop consuming
   /// early (DistTrainer's synchronized steps_per_epoch) set this so
-  /// next() — and, crucially, the lookahead announcements — stop at
-  /// the cap instead of announcing (and physically staging) a batch
-  /// nobody will consume.  Does not affect batches_per_epoch().
+  /// next() — and the epoch schedule — stop at the cap instead of
+  /// announcing (and physically staging) a batch nobody will consume.
+  /// Does not affect batches_per_epoch().
   void set_max_batches(std::int64_t max_batches) { max_batches_ = max_batches; }
-
-  int prefetch_lookahead() const noexcept { return options_.prefetch_lookahead; }
-
-  /// Announces the next not-yet-announced batch of the current epoch
-  /// (no-op when the schedule is exhausted or lookahead is 0).  The
-  /// consumer calls it once per delivery, so lookahead counts
-  /// *delivered* batches: a prefetch worker running ahead of
-  /// deliveries still keeps exactly N announced batches in flight.
-  /// Safe concurrently with a worker staging batches, because the
-  /// staging path never touches announcement state.
-  void announce_next_batch();
 
   std::int64_t batches_per_epoch() const;
   std::int64_t samples_per_epoch() const;
 
  private:
   void ensure_buffers(MemorySpaceId space, Tensor& x, Tensor& y) const;
-  /// Fills `out` with the snapshot ids of the batch starting at
-  /// `cursor` in this epoch's order (empty at epoch end, past the
+  /// Fills `out` with the snapshot ids of the batch starting at the
+  /// cursor in this epoch's order (empty at epoch end, past the
   /// max-batches cap, or for a short tail under drop_last).
-  void batch_ids_at(std::size_t cursor, std::vector<std::int64_t>& out) const;
+  void next_batch_ids(std::vector<std::int64_t>& out) const;
   /// Appends every consumable batch of `order` (respecting drop_last
   /// and the max-batches cap, both per epoch) to `out`.
   void append_epoch_batches(const std::vector<std::int64_t>& order,
@@ -212,10 +204,8 @@ class DataLoader {
   std::int64_t range_end_;
   std::vector<std::int64_t> order_;
   std::size_t cursor_ = 0;
-  std::size_t announce_cursor_ = 0;  ///< next unannounced batch
   std::int64_t max_batches_ = -1;
-  mutable std::vector<std::int64_t> lookahead_ids_;  // reusable scratch
-  mutable std::vector<std::int64_t> schedule_ids_;   // reusable scratch
+  mutable std::vector<std::int64_t> schedule_ids_;  // reusable scratch
 
   // Reusable staging buffers (allocated lazily to the max batch size).
   mutable Tensor host_x_, host_y_;   // host staging

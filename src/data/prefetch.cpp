@@ -7,8 +7,7 @@ namespace pgti::data {
 PrefetchLoader::PrefetchLoader(DataLoader& loader, int depth)
     : inner_(&loader),
       slots_(static_cast<std::size_t>(std::max(depth, 1) + 1)),
-      slot_full_(slots_.size(), 0),
-      paced_(loader.prefetch_lookahead() > 0) {
+      slot_full_(slots_.size(), 0) {
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -50,7 +49,7 @@ void PrefetchLoader::start_epoch(int epoch, std::int64_t max_batches) {
   epoch_ = epoch;
   max_batches_ = max_batches;
   produced_ = 0;
-  announce_budget_ = inner_->prefetch_lookahead();
+  budget_ = depth();
   worker_error_ = nullptr;  // a restart is explicit recovery
   epoch_done_ = false;
   fill_requested_ = true;
@@ -85,18 +84,9 @@ bool PrefetchLoader::next(Batch& out) {
   out.staged_at = slot.staged_at;
   in_use_idx_ = consume_idx_;  // stays full until the next call
   consume_idx_ = advance(consume_idx_);
-  if (paced_) {
-    // Delivery k announces batch k+depth (consumer-side, so the
-    // announcement lands in batch k's compute window, not the
-    // epoch-start burst), THEN raises the worker's staging budget —
-    // in that order, so the worker can never stage an unannounced
-    // batch.
-    lock.unlock();
-    inner_->announce_next_batch();
-    lock.lock();
-    ++announce_budget_;
-    cv_.notify_all();
-  }
+  // Delivery k lets the worker stage (and so announce) batch k+depth.
+  ++budget_;
+  cv_.notify_all();
   return true;
 }
 
@@ -134,59 +124,43 @@ void PrefetchLoader::worker_loop() {
     }
     try {
       // One capping mechanism: the cap is forwarded to the inner
-      // loader, whose next() (and lookahead announcements) stop at the
-      // bound.
+      // loader, whose next() (and epoch schedule) stop at the bound.
       inner_->set_max_batches(cap);
       inner_->start_epoch(epoch);
       for (;;) {
-        if (paced_) {
-          // Budget gate: batch k may stage only once k < depth +
-          // deliveries, i.e. once it has been announced.  Always
-          // deadlock-free at the tail: after the final delivery the
-          // budget exceeds the batch count, so the probe that
-          // discovers epoch end is always permitted.
-          std::unique_lock<std::mutex> lock(mu_);
-          cv_.wait(lock, [this] {
-            return produced_ < announce_budget_ || abort_ || stop_;
-          });
-          if (stop_) return;
-          if (abort_) {
-            epoch_done_ = true;
-            fill_requested_ = false;
-            cv_.notify_all();
-            break;
-          }
-          ++produced_;
-        }
-        const bool have = inner_->next(staged);
+        // Budget gate: batch k may stage only once k < depth +
+        // deliveries, so at most `depth` batches are ever announced
+        // ahead of consumption.  Always deadlock-free at the tail:
+        // after the final delivery the budget exceeds the batch count,
+        // so the probe that discovers epoch end is always permitted.
         std::unique_lock<std::mutex> lock(mu_);
-        if (!have || abort_) {
-          epoch_done_ = true;
-          fill_requested_ = false;
-          cv_.notify_all();
-          break;
-        }
-        cv_.wait(lock, [this] {
-          return !slot_full_[static_cast<std::size_t>(produce_idx_)] || abort_ ||
-                 stop_;
-        });
+        cv_.wait(lock, [this] { return produced_ < budget_ || abort_ || stop_; });
         if (stop_) return;
-        if (abort_) {
-          epoch_done_ = true;
-          fill_requested_ = false;
-          cv_.notify_all();
-          break;
+        if (!abort_) {
+          ++produced_;
+          lock.unlock();
+          const bool have = inner_->next(staged);
+          lock.lock();
+          if (have && !abort_) {
+            // The gate keeps this slot free: at most depth - 1 staged
+            // batches wait ahead of the one the consumer holds.
+            deep_copy(staged, slots_[static_cast<std::size_t>(produce_idx_)]);
+            slot_full_[static_cast<std::size_t>(produce_idx_)] = 1;
+            produce_idx_ = advance(produce_idx_);
+            cv_.notify_all();
+            continue;
+          }
         }
-        deep_copy(staged, slots_[static_cast<std::size_t>(produce_idx_)]);
-        slot_full_[static_cast<std::size_t>(produce_idx_)] = 1;
-        produce_idx_ = advance(produce_idx_);
+        epoch_done_ = true;
+        fill_requested_ = false;
         cv_.notify_all();
+        break;
       }
     } catch (...) {
-      // An inner-loader throw (e.g. a staging failure the source
-      // rethrows on its consumer — which is this worker) must reach
-      // the real consumer in next(), not escape the thread and
-      // terminate the process.
+      // An inner-loader throw (e.g. a failed copy in the source's
+      // prefetch_batch, which runs on this worker) must reach the real
+      // consumer in next(), not escape the thread and terminate the
+      // process.
       std::lock_guard<std::mutex> lock(mu_);
       worker_error_ = std::current_exception();
       epoch_done_ = true;

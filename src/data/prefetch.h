@@ -5,10 +5,14 @@
 // buffers up to `depth` assembled batches in a ring of depth+1 slots,
 // overlapping batch staging (and any modeled PCIe/store traffic it
 // triggers) with model compute.  depth = 1 is classic double
-// buffering; deeper rings let the worker run further ahead, which —
-// combined with the loader's own depth-N lookahead announcements —
+// buffering; deeper rings let the worker run further ahead, which
 // pushes the exposed share of modeled fetch time toward zero.  The
-// batch sequence is identical to the inner loader's at every depth.
+// worker is the only thread that moves data ahead of compute: the
+// inner loader announces each batch to its source right before
+// staging it, so a remote-backed source copies the batch on this
+// worker, and a budget gate keeps exactly `depth` batches staged
+// ahead of consumption.  The batch sequence is identical to the inner
+// loader's at every depth.
 #pragma once
 
 #include <condition_variable>
@@ -37,9 +41,8 @@ class PrefetchLoader {
   /// Starts (re)filling from the given epoch.  `max_batches` bounds
   /// how many batches the epoch assembles (-1 = the whole epoch);
   /// callers that consume a truncated epoch (steps_per_epoch caps)
-  /// pass the cap so the worker goes quiescent — and stops issuing
-  /// lookahead announcements — once the last consumable batch is
-  /// staged.  Forwarded to the inner loader via set_max_batches (the
+  /// pass the cap so the worker goes quiescent — and stops announcing
+  /// batches — once the last consumable batch is staged.  Forwarded to the inner loader via set_max_batches (the
   /// single capping mechanism).
   void start_epoch(int epoch, std::int64_t max_batches = -1);
 
@@ -91,14 +94,12 @@ class PrefetchLoader {
   int in_use_idx_ = -1;  ///< slot handed to the caller, pinned until next()
   int epoch_ = 0;
   std::int64_t max_batches_ = -1;  ///< forwarded to the inner loader (-1 = none)
-  // Consumer-paced announcements (on when the inner loader announces
-  // lookahead): the worker may stage batch k only once k < depth +
-  // deliveries, so at most `depth` announced batches are ever in
-  // flight ahead of consumption — the depth sweep stays a real sweep
-  // instead of saturating at the epoch-start announcement burst.
-  bool paced_ = false;
-  std::int64_t produced_ = 0;         ///< batches the worker has staged
-  std::int64_t announce_budget_ = 0;  ///< depth + deliveries so far
+  // Budget gate: the worker may stage batch k only once k < depth +
+  // deliveries, so at most `depth` batches are ever announced ahead of
+  // consumption — the depth sweep stays a real sweep instead of
+  // collapsing every announcement into the first compute window.
+  std::int64_t produced_ = 0;  ///< batches the worker has staged
+  std::int64_t budget_ = 0;    ///< depth + deliveries so far
   std::exception_ptr worker_error_;  ///< inner-loader throw, rethrown in next()
 };
 

@@ -21,10 +21,12 @@ namespace pgti::data {
 
 /// Snapshot access with an explicit requesting rank.  Thread-safety
 /// contract: concurrent calls with DISTINCT ranks never contend, and
-/// within ONE rank implementations must tolerate a consumer thread
-/// (fetch/prefetch_batch/abandon_prefetches) running concurrently with
-/// a drainer (drain_modeled_seconds) — DistTrainer's prefetch mode
-/// drains on the rank thread while a PrefetchLoader worker fetches.
+/// within ONE rank implementations must tolerate the thread that
+/// stages batches (fetch/prefetch_batch/abandon_prefetches) running
+/// concurrently with a consumer that delivers and drains
+/// (notify_batch_delivered/drain_modeled_seconds) — DistTrainer's
+/// prefetch mode drains on the rank thread while a PrefetchLoader
+/// worker fetches.
 /// Guard per-rank state accordingly (DistStore uses a per-rank mutex;
 /// providers whose accesses are all local may be stateless instead).
 class SnapshotProvider {
@@ -37,24 +39,25 @@ class SnapshotProvider {
   virtual std::pair<Tensor, Tensor> fetch(int rank, std::int64_t i) = 0;
 
   /// Announces one batch of snapshot ids `rank` is about to fetch, so
-  /// the provider can consolidate remote requests per owner (and, for
-  /// async-prefetching providers, start moving them in the background).
+  /// the provider can move remote data in consolidated requests per
+  /// owner.  The provider stages the batch on the calling thread:
+  /// when it returns, the fetches that follow find their data local.
   virtual void prefetch_batch(int rank, const std::vector<std::int64_t>& ids) = 0;
 
-  /// Releases `rank`'s announced-but-unconsumed prefetches (called at
-  /// epoch boundaries when lookahead announcements outran consumption).
+  /// Releases `rank`'s prefetches no consumer will take (called at
+  /// epoch boundaries, when a prefetch worker may have staged batches
+  /// a truncated epoch never delivered).
   virtual void abandon_prefetches(int rank) { (void)rank; }
 
   /// Tells the provider that `rank`'s consumer received one assembled
   /// batch (called on the consumer thread, once per batch, in delivery
   /// order).  Providers that overlap transfers with compute classify
   /// the overlap split of their oldest consumed-but-unclassified
-  /// announced request here: when a prefetch worker assembles batches
-  /// ahead of compute, the wall window that really hides a transfer
-  /// runs from its announcement to the batch's *delivery*, not to the
-  /// worker's (much earlier) need.  A consumer that fetched the batch
-  /// itself waited from its first fetch on, so its window ends there.
-  /// Default: ignore.
+  /// announced request here: when a prefetch worker announces and
+  /// assembles batches ahead of compute, the wall window that really
+  /// hides a transfer runs from its announcement to the batch's
+  /// *delivery*.  A consumer that announced the batch itself waited
+  /// for its own transfer, so its window is empty.  Default: ignore.
   virtual void notify_batch_delivered(int rank) { (void)rank; }
 
   /// Announces `rank`'s full epoch consumption order (once per

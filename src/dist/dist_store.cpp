@@ -21,7 +21,7 @@ constexpr double kNeverWaited = std::numeric_limits<double>::infinity();
 
 DistStore::DistStore(data::StandardDataset dataset, int world, NetworkModel network,
                      std::int64_t cache_snapshots_per_rank,
-                     std::int64_t cache_bytes_per_rank, bool async_prefetch)
+                     std::int64_t cache_bytes_per_rank)
     : model_(dataset.num_snapshots(), spec_snapshot_bytes(dataset.spec()), world,
              network, /*consolidate_requests=*/true),
       dataset_(std::move(dataset)),
@@ -32,50 +32,24 @@ DistStore::DistStore(data::StandardDataset dataset, int world, NetworkModel netw
                           ? cache_snapshots_per_rank
                           : std::max(kDefaultCacheSnapshots,
                                      2 * dataset_.spec().batch_size)),
-      cache_bytes_capacity_(std::max<std::int64_t>(0, cache_bytes_per_rank)),
-      async_prefetch_(async_prefetch) {
-  for (int r = 0; r < world; ++r) add_rank();
+      cache_bytes_capacity_(std::max<std::int64_t>(0, cache_bytes_per_rank)) {
+  for (int r = 0; r < world; ++r) ranks_.push_back(std::make_unique<RankState>());
 }
 
 DistStore::DistStore(data::StandardDataset dataset, int world, NetworkModel network,
                      bool consolidate_requests, std::int64_t cache_snapshots_per_rank,
-                     std::int64_t cache_bytes_per_rank, bool async_prefetch)
+                     std::int64_t cache_bytes_per_rank, bool /*async_prefetch*/)
     : DistStore(std::move(dataset), world, network, cache_snapshots_per_rank,
-                cache_bytes_per_rank, async_prefetch) {
+                cache_bytes_per_rank) {
   if (!consolidate_requests) {
     throw std::invalid_argument("DistStore: requests are always consolidated");
   }
 }
 
-DistStore::~DistStore() {
-  for (auto& rsp : ranks_) {
-    RankState& rs = *rsp;
-    if (!rs.stager.joinable()) continue;
-    {
-      std::lock_guard<std::mutex> lk(rs.m);
-      rs.stop = true;
-    }
-    rs.cv.notify_all();
-    rs.stager.join();
-  }
-  // Close the overlap split: requests nobody waited on were fully
-  // hidden behind compute.
-  for (auto& rsp : ranks_) {
-    std::lock_guard<std::mutex> lk(rsp->m);
-    retire_undelivered_locked(*rsp);
-  }
-}
-
-int DistStore::add_rank() {
+int DistStore::add_reader() {
   ranks_.push_back(std::make_unique<RankState>());
-  RankState& rs = *ranks_.back();
-  // The staging thread holds its own rank's state and never reads the
-  // rank table, so appending ranks later cannot race with it.
-  if (async_prefetch_) rs.stager = std::thread([this, &rs] { stager_loop(rs); });
   return static_cast<int>(ranks_.size()) - 1;
 }
-
-int DistStore::add_reader() { return add_rank(); }
 
 void DistStore::check_rank(int rank) const {
   const int limit = static_cast<int>(ranks_.size());
@@ -117,10 +91,12 @@ std::int64_t DistStore::future_schedule_pos_locked(const RankState& rs,
   return p == it->second.end() ? -1 : *p;
 }
 
-void DistStore::evict_over_capacity_locked(RankState& rs) {
+void DistStore::evict_over_capacity_locked(RankState& rs, std::int64_t incoming) {
+  const std::int64_t incoming_bytes = incoming * model_.snapshot_bytes();
   const auto over = [&] {
-    if (static_cast<std::int64_t>(rs.cache.size()) > cache_capacity_) return true;
-    return cache_bytes_capacity_ > 0 && rs.cache_bytes > cache_bytes_capacity_;
+    if (static_cast<std::int64_t>(rs.cache.size()) + incoming > cache_capacity_) return true;
+    return cache_bytes_capacity_ > 0 &&
+           rs.cache_bytes + incoming_bytes > cache_bytes_capacity_;
   };
   if (!over()) return;
   // Schedule-aware victim selection, one walk: unpinned entries with
@@ -165,19 +141,6 @@ void DistStore::evict_over_capacity_locked(RankState& rs) {
   }
 }
 
-bool DistStore::try_stage_hit_locked(RankState& rs, std::int64_t i, bool pin) {
-  auto it = rs.cache.find(i);
-  if (it == rs.cache.end()) return false;
-  // The cache absorbed a fetch the model priced: a snapshot's worth
-  // of modeled bytes that did not physically move.
-  if (pin) ++it->second.pins;
-  rs.lru.splice(rs.lru.begin(), rs.lru, it->second.lru_it);
-  std::lock_guard<std::mutex> lk(mu_);
-  ++stats_.cache_hits;
-  stats_.cache_hit_bytes += static_cast<std::uint64_t>(model_.snapshot_bytes());
-  return true;
-}
-
 std::pair<Tensor, Tensor> DistStore::consume_locked(RankState& rs, std::int64_t i) {
   auto it = rs.cache.find(i);
   CacheEntry& e = it->second;
@@ -216,7 +179,6 @@ void DistStore::retire_undelivered_locked(RankState& rs) {
   for (auto& [id, req] : rs.in_flight) {
     (void)id;
     if (!req->classified) classify_locked(rs, *req, kNeverWaited);
-    req->orphaned = true;
   }
   rs.in_flight.clear();
   // Consumed by a prefetch worker but never delivered: the consumer
@@ -228,107 +190,94 @@ void DistStore::retire_undelivered_locked(RankState& rs) {
 }
 
 std::shared_ptr<DistStore::Request> DistStore::announce_locked(
-    int rank, RankState& rs, std::unique_lock<std::mutex>& lk,
-    const std::vector<std::int64_t>& ids, bool inline_staging) {
-  FetchModel::Price p = model_.price(rank, ids);
+    int rank, RankState& rs, const std::vector<std::int64_t>& ids) {
+  const FetchModel::Price p = model_.price(rank, ids);
+  const std::vector<std::int64_t>& remote = p.remote_ids;
   // Announce-once/consume-once: a second announcement of an id whose
-  // first is still outstanding would unbalance its pin and leak the
-  // older request unclassified — fail loudly on misuse (validated
-  // before anything is recorded).
-  for (std::int64_t id : p.remote_ids) {
-    if (rs.in_flight.count(id) != 0) {
-      throw std::logic_error("DistStore: snapshot " + std::to_string(id) +
+  // first is still outstanding (in flight, or earlier in this batch)
+  // would unbalance its pin and leak the older request unclassified —
+  // fail loudly on misuse (validated before anything is recorded).
+  for (std::size_t j = 0; j < remote.size(); ++j) {
+    if (rs.in_flight.count(remote[j]) != 0 ||
+        std::find(remote.begin(), remote.begin() + static_cast<std::ptrdiff_t>(j),
+                  remote[j]) != remote.begin() + static_cast<std::ptrdiff_t>(j)) {
+      throw std::logic_error("DistStore: snapshot " + std::to_string(remote[j]) +
                              " announced twice without an intervening fetch");
     }
   }
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    stats_.local_snapshots += p.local;
-    stats_.remote_snapshots += p.remote;
-    stats_.remote_bytes += p.bytes;
-    stats_.request_messages += p.messages;
-    stats_.modeled_seconds += p.seconds;
+  // Pin what is resident, so eviction cannot take it, and make room
+  // for the rest before copying it: the copies then reuse the blocks
+  // of the entries they displace, which keeps a staging thread's pool
+  // at the cache's size.
+  std::vector<char> resident(remote.size(), 0);
+  std::int64_t misses = 0;
+  for (std::size_t j = 0; j < remote.size(); ++j) {
+    const auto it = rs.cache.find(remote[j]);
+    if (it == rs.cache.end()) {
+      ++misses;
+      continue;
+    }
+    ++it->second.pins;
+    rs.lru.splice(rs.lru.begin(), rs.lru, it->second.lru_it);
+    resident[j] = 1;
   }
-  if (p.remote_ids.empty()) return nullptr;
-
-  auto req = std::make_shared<Request>();
-  req->remote_ids = std::move(p.remote_ids);
-  req->modeled_seconds = p.seconds;
-  req->announced_at = std::chrono::steady_clock::now();
-  for (std::int64_t id : req->remote_ids) rs.in_flight.emplace(id, req);
-  if (inline_staging) {
-    // The announcer waits for the copies itself: nothing hides them.
-    classify_locked(rs, *req, /*window_seconds=*/0.0);
-    stage_locked(rs, *req, lk);
-  } else {
-    rs.queue.push_back(req);
-    rs.cv.notify_all();
-  }
-  return req;
-}
-
-void DistStore::stage_locked(RankState& rs, Request& req,
-                             std::unique_lock<std::mutex>& lk) {
-  ++rs.staging;
-  // Orphaned requests (abandoned epochs) still move their bytes — they
-  // were priced at announcement and the ledger must stay backed by real
-  // movement — but land unpinned, immediately evictable.  Copies run
-  // with rs.m released; the cache is re-checked after re-locking in
-  // case the consumer faulted the id in meanwhile.
+  evict_over_capacity_locked(rs, misses);
+  // Stage: every miss is a deep copy of the owning shard's snapshot —
+  // the remote bytes physically moving.  A failed copy
+  // (OutOfMemoryError) unpins and rethrows before anything of the
+  // batch is recorded or marked in flight.
+  std::vector<std::pair<Tensor, Tensor>> copies(remote.size());
   try {
-    for (std::int64_t id : req.remote_ids) {
-      if (try_stage_hit_locked(rs, id, /*pin=*/!req.orphaned)) continue;
-      // A miss: remote bytes physically move — a deep copy of the
-      // owning shard's snapshot into this rank's cache.
-      lk.unlock();
-      const auto [xv, yv] = dataset_.get(id);
-      Tensor x = xv.clone();
-      Tensor y = yv.clone();
-      lk.lock();
-      if (try_stage_hit_locked(rs, id, /*pin=*/!req.orphaned)) continue;
-      const std::int64_t moved =
-          static_cast<std::int64_t>(x.storage_bytes() + y.storage_bytes());
-      rs.lru.push_front(id);
-      rs.cache.emplace(id, CacheEntry{x, y, rs.lru.begin(), moved,
-                                      req.orphaned ? 0 : 1});
-      rs.cache_bytes += moved;
-      {
-        std::lock_guard<std::mutex> g(mu_);
-        stats_.bytes_copied += static_cast<std::uint64_t>(moved);
-      }
-      evict_over_capacity_locked(rs);
+    for (std::size_t j = 0; j < remote.size(); ++j) {
+      if (resident[j]) continue;
+      const auto [xv, yv] = dataset_.get(remote[j]);
+      copies[j] = {xv.clone(), yv.clone()};
     }
   } catch (...) {
-    // Surface the failure on the consumer waiting for this request
-    // rather than letting it escape a staging thread (std::terminate).
-    if (!lk.owns_lock()) lk.lock();
-    req.error = std::current_exception();
+    for (std::size_t j = 0; j < remote.size(); ++j) {
+      if (resident[j]) --rs.cache.find(remote[j])->second.pins;
+    }
+    throw;
   }
-  req.staged = true;
-  --rs.staging;
-  rs.cv.notify_all();
-}
 
-void DistStore::stager_loop(RankState& rs) {
-  // The staging thread clones whole batches of remote snapshots every
-  // epoch in a repeating shape sequence — exactly the lifetime pattern
-  // the arena pools.  One scope for the thread's lifetime: the first
-  // epoch plans bucket demand, later epochs stage alloc-free.
-  runtime::ArenaScope scope(rs.arena);
-  std::unique_lock<std::mutex> lk(rs.m);
-  for (;;) {
-    rs.cv.wait(lk, [&] { return rs.stop || !rs.queue.empty(); });
-    if (rs.stop) return;
-    std::shared_ptr<Request> req = std::move(rs.queue.front());
-    rs.queue.pop_front();
-    stage_locked(rs, *req, lk);
+  std::shared_ptr<Request> req;
+  if (!remote.empty()) {
+    req = std::make_shared<Request>(Request{p.seconds, std::chrono::steady_clock::now(),
+                                            std::this_thread::get_id()});
   }
+  std::uint64_t copied = 0;
+  for (std::size_t j = 0; j < remote.size(); ++j) {
+    rs.in_flight.emplace(remote[j], req);
+    if (resident[j]) continue;
+    auto& [x, y] = copies[j];
+    const std::int64_t moved =
+        static_cast<std::int64_t>(x.storage_bytes() + y.storage_bytes());
+    rs.lru.push_front(remote[j]);
+    rs.cache.emplace(remote[j],
+                     CacheEntry{std::move(x), std::move(y), rs.lru.begin(), moved, 1});
+    rs.cache_bytes += moved;
+    copied += static_cast<std::uint64_t>(moved);
+  }
+  // The cache absorbed every resident id the model priced: a
+  // snapshot's worth of modeled bytes each that did not physically
+  // move.
+  const std::uint64_t hits = remote.size() - static_cast<std::uint64_t>(misses);
+  std::lock_guard<std::mutex> g(mu_);
+  stats_.local_snapshots += p.local;
+  stats_.remote_snapshots += p.remote;
+  stats_.remote_bytes += p.bytes;
+  stats_.request_messages += p.messages;
+  stats_.modeled_seconds += p.seconds;
+  stats_.bytes_copied += copied;
+  stats_.cache_hits += hits;
+  stats_.cache_hit_bytes += hits * static_cast<std::uint64_t>(model_.snapshot_bytes());
+  return req;
 }
 
 void DistStore::prefetch_batch(int rank, const std::vector<std::int64_t>& ids) {
   RankState& rs = rank_state(rank);
-  std::unique_lock<std::mutex> lk(rs.m);
-  announce_locked(rank, rs, lk, ids, /*inline_staging=*/!async_prefetch_);
+  std::lock_guard<std::mutex> lk(rs.m);
+  announce_locked(rank, rs, ids);
 }
 
 std::pair<Tensor, Tensor> DistStore::fetch(int rank, std::int64_t i) {
@@ -336,44 +285,27 @@ std::pair<Tensor, Tensor> DistStore::fetch(int rank, std::int64_t i) {
   RankState& rs = rank_state(rank);
   if (own == rank) return dataset_.get(i);  // zero-copy view of the owned shard
 
-  std::unique_lock<std::mutex> lk(rs.m);
-  for (;;) {
-    std::shared_ptr<Request> req;
-    const auto fit = rs.in_flight.find(i);
-    if (fit != rs.in_flight.end()) {
-      req = std::move(fit->second);
-      rs.in_flight.erase(fit);
-    } else {
-      // Unannounced (or abandoned) id: it travels as its own
-      // one-snapshot request, staged inline and exposed in full.
-      req = announce_locked(rank, rs, lk, {i}, /*inline_staging=*/true);
-      rs.in_flight.erase(i);
-    }
-    if (!req->classified && !req->needed) {
-      req->needed = true;
-      req->needed_at = std::chrono::steady_clock::now();
-      req->needed_by = std::this_thread::get_id();
-      rs.awaiting_delivery.push_back(req);
-    }
-    // Waiting on req->staged — not on the id becoming resident — keeps
-    // pins balanced: the stager's pin always precedes this consume,
-    // even when the id was already resident from an earlier epoch.
-    rs.cv.wait(lk, [&] { return req->staged; });
-    if (rs.cache.count(i) != 0) return consume_locked(rs, i);
-    if (req->error) std::rethrow_exception(req->error);
-    // A concurrent abandon_prefetches orphaned the request mid-staging
-    // and the unpinned copy was already evicted: fault it back in.
+  std::lock_guard<std::mutex> lk(rs.m);
+  auto fit = rs.in_flight.find(i);
+  if (fit == rs.in_flight.end()) {
+    // Unannounced (or abandoned) id: it travels as its own
+    // one-snapshot request, staged here and exposed in full.
+    classify_locked(rs, *announce_locked(rank, rs, {i}), /*window_seconds=*/0.0);
+    fit = rs.in_flight.find(i);
   }
+  const std::shared_ptr<Request> req = std::move(fit->second);
+  rs.in_flight.erase(fit);
+  if (!req->classified && !req->needed) {
+    req->needed = true;
+    rs.awaiting_delivery.push_back(req);
+  }
+  return consume_locked(rs, i);
 }
 
 void DistStore::abandon_prefetches(int rank) {
   RankState& rs = rank_state(rank);
-  std::unique_lock<std::mutex> lk(rs.m);
+  std::lock_guard<std::mutex> lk(rs.m);
   retire_undelivered_locked(rs);
-  // Quiesce the pipeline: orphaned requests still move their bytes, so
-  // wait until every queued or in-progress request is staged before
-  // releasing pins; afterwards stats() decomposes exactly again.
-  rs.cv.wait(lk, [&] { return rs.queue.empty() && rs.staging == 0; });
   for (auto& [id, entry] : rs.cache) {
     (void)id;
     entry.pins = 0;
@@ -394,15 +326,17 @@ void DistStore::notify_batch_delivered(int rank) {
   if (rs.awaiting_delivery.empty()) return;
   const std::shared_ptr<Request> req = std::move(rs.awaiting_delivery.front());
   rs.awaiting_delivery.pop_front();
-  // A prefetch worker fetched the batch ahead of the consumer's
-  // compute, so the window runs to this delivery.  A consumer that
-  // fetched the batch itself was blocked from its first fetch on, and
-  // that wait hid nothing.
-  const auto needed_at = req->needed_by == std::this_thread::get_id()
-                             ? req->needed_at
-                             : std::chrono::steady_clock::now();
-  classify_locked(
-      rs, *req, std::chrono::duration<double>(needed_at - req->announced_at).count());
+  // A prefetch worker announced and staged the batch ahead of the
+  // consumer's compute, so the window runs to this delivery.  A
+  // consumer that announced the batch itself waited for its own
+  // copies, and that wait hid nothing.
+  const double window =
+      req->announced_by == std::this_thread::get_id()
+          ? 0.0
+          : std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          req->announced_at)
+                .count();
+  classify_locked(rs, *req, window);
 }
 
 void DistStore::announce_schedule(int rank, const std::vector<std::int64_t>& ids) {

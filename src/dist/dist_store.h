@@ -19,36 +19,35 @@
 //
 // Ranks.  The store starts with `world` worker ranks; add_reader()
 // appends more.  Every rank gets the same state (cache, request
-// pipeline, staging thread when staging is asynchronous); a rank
-// differs from another only in what it owns, and ranks past the
-// workers own nothing, so every access they make is remote.  Serving
-// uses such a reader rank, which keeps training shards untouched by
-// serving traffic.
+// pipeline); a rank differs from another only in what it owns, and
+// ranks past the workers own nothing, so every access they make is
+// remote.  Serving uses such a reader rank, which keeps training
+// shards untouched by serving traffic.  The store starts no threads:
+// whoever announces a batch stages it.
 //
 // Request lifecycle.  Every remote access travels in a request, and
 // every request takes the same four steps:
 //
 //   1. announce — prefetch_batch prices the batch through the
-//      FetchModel, records the price in the ledger, and marks its
-//      remote ids in flight.  A fetch() of an id nobody announced is
-//      announced on the spot as its own one-snapshot request.
-//   2. stage — the ids are copied into the rank's cache, pinned: on
-//      the rank's staging thread when the store stages asynchronously
-//      (async_prefetch), inline on the announcing thread otherwise.
+//      FetchModel and marks its remote ids in flight.  A fetch() of an
+//      id nobody announced is announced on the spot as its own
+//      one-snapshot request.
+//   2. stage — on the announcing thread, before prefetch_batch
+//      returns, the ids are copied into the rank's cache, pinned.  The
+//      copies are made before the batch is recorded, so a failed copy
+//      leaves nothing of it priced, pinned or in flight.
 //   3. consume — each announced id is taken by exactly one fetch(),
-//      which waits for the request's staging and unpins the id.
+//      which unpins it.
 //   4. classify — at the delivery of the batch that first needed the
 //      request (notify_batch_delivered, on the consumer), its modeled
 //      seconds split into overlapped and exposed: exposed = max(0,
-//      modeled - window), where the window runs from announcement to
-//      the consumer's first need.  When a prefetch worker fetched the
-//      batch, up to `depth` batches before the consumer computes on
-//      it, that need is the delivery.  When the delivering thread
-//      fetched the batch itself, it is that thread's first fetch of
-//      the request: its wait inside fetch() hid nothing.  Inline
-//      staging blocks the announcer, so those requests are exposed in
-//      full at announcement; requests never delivered
-//      (abandon_prefetches, destruction) were never waited on and are
+//      modeled - window).  The window is 0 when the delivering thread
+//      announced the request itself (it waited for its own copies, so
+//      nothing hid them); otherwise it runs from the announcement to
+//      the delivery, because a prefetch worker staged the batch up to
+//      `depth` batches before the consumer computes on it.  A fetch
+//      nobody announced is exposed in full on the spot; requests never
+//      delivered (abandon_prefetches) were never waited on and are
 //      fully overlapped.
 //
 // Announced snapshots stay pinned until consumed, so even a
@@ -68,10 +67,8 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -84,7 +81,6 @@
 #include "data/snapshot_provider.h"
 #include "dist/cluster_model.h"
 #include "dist/fetch_model.h"
-#include "runtime/arena.h"
 
 namespace pgti::dist {
 
@@ -112,9 +108,10 @@ struct StoreStats {
 };
 
 /// Partitioned, byte-moving snapshot store.  Thread-safe for
-/// concurrent calls with DISTINCT ranks; within one rank, the
-/// consumer, the staging thread, and a drainer may run concurrently
-/// (per-rank state is mutex-protected).
+/// concurrent calls with DISTINCT ranks; within one rank, the thread
+/// that announces and fetches (a prefetch worker) and the consumer
+/// that delivers and drains may run concurrently (per-rank state is
+/// mutex-protected).
 class DistStore final : public data::SnapshotProvider {
  public:
   /// Default per-rank cache capacity, in snapshots.
@@ -129,32 +126,29 @@ class DistStore final : public data::SnapshotProvider {
   /// the store owns its default and sizes the cache to a couple of
   /// batches of the dataset's spec, never below
   /// kDefaultCacheSnapshots); `cache_bytes_per_rank` adds a byte bound
-  /// on top (0 = no byte bound).  `async_prefetch` gives every rank a
-  /// staging thread, so prefetch_batch returns before its copies run.
+  /// on top (0 = no byte bound).
   DistStore(data::StandardDataset dataset, int world, NetworkModel network,
             std::int64_t cache_snapshots_per_rank = -1,
-            std::int64_t cache_bytes_per_rank = 0, bool async_prefetch = false);
+            std::int64_t cache_bytes_per_rank = 0);
 
   /// Source compatibility for callers that still pass the former
-  /// `consolidate_requests` argument.  Requests are always
-  /// consolidated, so it must be true (std::invalid_argument
-  /// otherwise).
-  [[deprecated("requests are always consolidated; drop the argument")]]
+  /// `consolidate_requests` and `async_prefetch` arguments.  Requests
+  /// are always consolidated, so the first must be true
+  /// (std::invalid_argument otherwise); the announcing thread always
+  /// stages, so `async_prefetch` is ignored.
+  [[deprecated("requests are always consolidated and staged by their announcer; "
+               "drop both arguments")]]
   DistStore(data::StandardDataset dataset, int world, NetworkModel network,
             bool consolidate_requests, std::int64_t cache_snapshots_per_rank,
             std::int64_t cache_bytes_per_rank, bool async_prefetch);
-
-  ~DistStore() override;
 
   DistStore(const DistStore&) = delete;
   DistStore& operator=(const DistStore&) = delete;
 
   /// Appends a rank that owns no partition (a serving-side view of the
   /// store) and returns its id.  It is an ordinary rank in every other
-  /// respect: same cache, same request lifecycle, its own staging
-  /// thread when staging is asynchronous.  Running staging threads
-  /// never read the rank table, but the table itself is not
-  /// synchronized: call it before any other thread uses the store.
+  /// respect: same cache, same request lifecycle.  The rank table is
+  /// not synchronized: call it before any other thread uses the store.
   int add_reader();
 
   /// Owning rank of a snapshot; throws std::out_of_range for ids
@@ -168,7 +162,6 @@ class DistStore final : public data::SnapshotProvider {
   StoreStats stats() const;
 
   std::int64_t snapshot_bytes() const noexcept { return model_.snapshot_bytes(); }
-  bool async_prefetch() const noexcept { return async_prefetch_; }
 
   /// The x/y shard owned by `rank`: zero-copy views of the snapshot
   /// range [partition(rank)).
@@ -183,18 +176,21 @@ class DistStore final : public data::SnapshotProvider {
 
   // --- data::SnapshotProvider -----------------------------------------
   std::pair<Tensor, Tensor> fetch(int rank, std::int64_t i) override;
-  /// Announces one batch (step 1 of the lifecycle).  Throws
-  /// std::logic_error if a remote id is still in flight from an
-  /// earlier announcement of this rank.
+  /// Announces one batch and stages it on the calling thread (steps 1
+  /// and 2 of the lifecycle): when it returns, the batch's remote ids
+  /// are in `rank`'s cache, pinned until fetched.  Throws
+  /// std::logic_error if a remote id repeats in `ids` or is still in
+  /// flight from an earlier announcement of this rank, and rethrows a
+  /// failed copy (e.g. OutOfMemoryError); either way nothing of the
+  /// batch is recorded, pinned or in flight.
   void prefetch_batch(int rank, const std::vector<std::int64_t>& ids) override;
   void abandon_prefetches(int rank) override;
   /// Classifies the oldest consumed-but-unclassified request of `rank`
   /// (FIFO, one per delivery).  Requests are announced and consumed in
   /// batch order and a batch without remote snapshots creates none, so
-  /// a request is classified at or before its own delivery.  The
-  /// window closes at the calling thread's own first fetch of the
-  /// request when it made one, so a consumer's blocked wait never
-  /// counts as overlap.
+  /// a request is classified at or before its own delivery.  A request
+  /// the calling thread announced itself gets no window: it waited for
+  /// its own copies.
   void notify_batch_delivered(int rank) override;
   /// Installs `rank`'s announced consumption order for schedule-aware
   /// eviction (replaces any previous schedule; ids may repeat —
@@ -221,40 +217,29 @@ class DistStore final : public data::SnapshotProvider {
   };
 
   /// One announced batch's remote ids on their way through the
-  /// lifecycle: priced at announcement, staged, consumed, classified.
+  /// lifecycle: priced and staged at announcement, consumed,
+  /// classified.
   struct Request {
-    std::vector<std::int64_t> remote_ids;
     double modeled_seconds = 0.0;
     std::chrono::steady_clock::time_point announced_at;
-    /// First fetch of the request, and the thread that made it.
-    std::chrono::steady_clock::time_point needed_at;
-    std::thread::id needed_by;
-    bool staged = false;
+    std::thread::id announced_by;
     bool needed = false;  ///< a fetch consumed it; queued for delivery
     bool classified = false;
-    bool orphaned = false;  ///< abandoned before staging: stage unpinned
-    /// Staging failure (e.g. bad_alloc in a clone), rethrown on the
-    /// consumer that waits for this request.
-    std::exception_ptr error;
   };
 
   /// Per-rank remote-snapshot cache, request pipeline, and
   /// exposed-time drain accumulator.  `m` serializes the rank's
-  /// consumer thread, its staging thread, and drain callers.
+  /// announcing thread, its consumer, and drain callers.
   struct RankState {
     std::mutex m;
-    std::condition_variable cv;
     std::list<std::int64_t> lru;  // front = most recently used
     std::unordered_map<std::int64_t, CacheEntry> cache;
     std::int64_t cache_bytes = 0;
     double pending_exposed_seconds = 0.0;
-    std::deque<std::shared_ptr<Request>> queue;  // for the staging thread
     /// Announced-but-unconsumed remote ids -> their request.
     std::unordered_map<std::int64_t, std::shared_ptr<Request>> in_flight;
     /// Consumed requests waiting, FIFO, for their delivery.
     std::deque<std::shared_ptr<Request>> awaiting_delivery;
-    int staging = 0;  ///< requests being staged right now
-    bool stop = false;
 
     /// Epoch schedule for schedule-aware eviction: id -> ALL positions
     /// (ascending) in the announced consumption order; only the first
@@ -262,59 +247,39 @@ class DistStore final : public data::SnapshotProvider {
     /// have been consumed).
     std::unordered_map<std::int64_t, std::vector<std::int64_t>> schedule_pos;
     std::int64_t schedule_progress = 0;
-
-    /// Pool for the staging thread's snapshot clones: after the first
-    /// pass over a shape, per-batch remote copies recycle pool blocks
-    /// instead of hitting the heap (clones fully overwrite, so recycled
-    /// uninitialized memory is safe).  Cache evictions release blocks
-    /// from the consumer thread; the arena is thread-safe for that.
-    runtime::TensorArena arena;
-    std::thread stager;  ///< last: it runs on every member above
   };
 
-  /// Appends one rank's state (and its staging thread) to the table.
-  int add_rank();
   RankState& rank_state(int rank);
   void check_rank(int rank) const;
 
-  /// Step 1 (rs.m held): prices `ids`, records the price, marks the
-  /// remote ids in flight, and stages them inline or enqueues them.
-  /// Returns the request, or null when every id is local.
+  /// Steps 1 and 2 (rs.m held): prices `ids`, pins the resident
+  /// remote ids, evicts to make room for the rest and copies them, then
+  /// records the price and the copies and marks every remote id in
+  /// flight.  Returns the request, or null when every id is local.
   std::shared_ptr<Request> announce_locked(int rank, RankState& rs,
-                                           std::unique_lock<std::mutex>& lk,
-                                           const std::vector<std::int64_t>& ids,
-                                           bool inline_staging);
-  /// Step 2 (rs.m held on entry and exit, released around each copy so
-  /// the rank's consumer never stalls behind a batch of copies).
-  void stage_locked(RankState& rs, Request& req, std::unique_lock<std::mutex>& lk);
+                                           const std::vector<std::int64_t>& ids);
   /// Step 4 (rs.m held): exposed = max(0, modeled - window_seconds).
   void classify_locked(RankState& rs, Request& req, double window_seconds);
   /// Classifies every in-flight or undelivered request as fully
-  /// overlapped and orphans the in-flight ones (rs.m held).
+  /// overlapped and forgets it (rs.m held).
   void retire_undelivered_locked(RankState& rs);
-
-  /// If `i` is resident (rs.m held): records the cache hit, refreshes
-  /// LRU, optionally pins, and returns true.
-  bool try_stage_hit_locked(RankState& rs, std::int64_t i, bool pin);
   /// Step 3 (rs.m held): hands the cached snapshot to the consumer,
   /// unpins one announcement, and enforces the cache bounds.
   std::pair<Tensor, Tensor> consume_locked(RankState& rs, std::int64_t i);
-  /// Evicts unpinned entries while over either bound (rs.m held);
+  /// Evicts unpinned entries while the cache, plus `incoming`
+  /// snapshots about to be inserted, is over either bound (rs.m held);
   /// entries with no remaining scheduled use go first (LRU order among
   /// them), then the farthest-scheduled.
-  void evict_over_capacity_locked(RankState& rs);
+  void evict_over_capacity_locked(RankState& rs, std::int64_t incoming = 0);
   /// Next scheduled position of `i` in `rs`'s announced epoch order,
   /// or -1 when `i` is unscheduled / already past (rs.m held).
   static std::int64_t future_schedule_pos_locked(const RankState& rs,
                                                  std::int64_t i);
 
-  void stager_loop(RankState& rs);
-
   FetchModel model_;
   data::StandardDataset dataset_;
   std::int64_t cache_capacity_;
   std::int64_t cache_bytes_capacity_;  ///< 0 = no byte bound
-  bool async_prefetch_;
   std::vector<std::unique_ptr<RankState>> ranks_;
 
   mutable std::mutex mu_;

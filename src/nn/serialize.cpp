@@ -1,9 +1,11 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace pgti::nn {
 namespace {
@@ -51,37 +53,51 @@ void load_checkpoint(Module& module, const std::string& path) {
   is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   if (!is || magic != kMagic) throw std::runtime_error("checkpoint: bad magic in " + path);
 
-  std::map<std::string, Variable> params;
-  for (auto& [name, p] : module.named_parameters()) params.emplace(name, p);
+  // Parameter -> whether the file has supplied it yet.
+  std::map<std::string, std::pair<Variable, bool>> params;
+  std::size_t longest_name = 0;
+  for (auto& [name, p] : module.named_parameters()) {
+    longest_name = std::max(longest_name, name.size());
+    params.emplace(name, std::make_pair(p, false));
+  }
 
   const std::uint64_t count = read_u64(is);
-  std::uint64_t matched = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
+    // Every length and dimension below comes from the file: each is
+    // checked against the module before it sizes anything.
     const std::uint64_t name_len = read_u64(is);
+    if (name_len > longest_name) {
+      throw std::runtime_error("checkpoint: parameter name longer than any in the module");
+    }
     std::string name(name_len, '\0');
     is.read(name.data(), static_cast<std::streamsize>(name_len));
-    const std::uint64_t rank = read_u64(is);
-    Shape shape;
-    for (std::uint64_t d = 0; d < rank; ++d) {
-      shape.push_back(static_cast<std::int64_t>(read_u64(is)));
-    }
-    const std::int64_t numel = shape_numel(shape);
+    if (!is) throw std::runtime_error("checkpoint: truncated file");
     auto it = params.find(name);
     if (it == params.end()) {
       throw std::runtime_error("checkpoint: unknown parameter '" + name + "'");
     }
-    if (it->second.value().shape() != shape) {
+    auto& [param, loaded] = it->second;
+    if (loaded) throw std::runtime_error("checkpoint: parameter '" + name + "' repeated");
+    const Shape& shape = param.value().shape();
+    if (read_u64(is) != shape.size()) {
       throw std::runtime_error("checkpoint: shape mismatch for '" + name + "'");
+    }
+    for (std::int64_t dim : shape) {
+      if (read_u64(is) != static_cast<std::uint64_t>(dim)) {
+        throw std::runtime_error("checkpoint: shape mismatch for '" + name + "'");
+      }
     }
     Tensor staged = Tensor::empty(shape);
     is.read(reinterpret_cast<char*>(staged.data()),
-            static_cast<std::streamsize>(numel * sizeof(float)));
+            static_cast<std::streamsize>(staged.numel() * sizeof(float)));
     if (!is) throw std::runtime_error("checkpoint: truncated tensor data");
-    it->second.mutable_value().copy_from(staged);
-    ++matched;
+    param.mutable_value().copy_from(staged);
+    loaded = true;
   }
-  if (matched != params.size()) {
-    throw std::runtime_error("checkpoint: file is missing parameters");
+  for (const auto& [name, entry] : params) {
+    if (!entry.second) {
+      throw std::runtime_error("checkpoint: file is missing parameter '" + name + "'");
+    }
   }
 }
 

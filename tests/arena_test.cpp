@@ -354,7 +354,7 @@ TEST(ArenaTrainer, LossesBitIdenticalArenaOnVsOffAllStrategiesWorldsDepths) {
   }
 }
 
-// -------------------------------------------- staging-thread arena scopes
+// -------------------------------------------- prefetch-worker arena scope
 
 TEST(ArenaStaging, PrefetchWorkerStagingAllocFreeAfterPlanningEpoch) {
   // The prefetch worker's staging buffers (the inner loader's reusable
@@ -411,50 +411,50 @@ TEST(ArenaStaging, PrefetchWorkerStagingAllocFreeAfterPlanningEpoch) {
   }
 }
 
-TEST(ArenaStaging, DistStoreStagerRecyclesRemoteCloneBlocks) {
-  // The async store's staging thread clones remote snapshots every
-  // epoch; a zero-capacity cache evicts each copy right after its
-  // consume, so without the stager's ArenaScope every cycle re-clones
-  // from the heap.  With the scope, cycle 1 plans and later cycles
-  // pool-hit.
+TEST(ArenaStaging, PrefetchWorkerRecyclesRemoteCloneBlocks) {
+  // A depth-2 prefetch worker over a store rank announces every batch
+  // right before staging it, so the store clones the batch's remote
+  // snapshots on the worker.  A zero-capacity cache evicts each copy
+  // right after its consume, so without the worker's ArenaScope every
+  // epoch re-clones from the heap; with it, the first epoch plans and
+  // later epochs pool-hit.
   data::DatasetSpec spec = data::spec_for(data::DatasetKind::kPemsBay).scaled(64);
   spec.horizon = 4;
   SensorNetwork net = data::network_for(spec);
   Tensor raw = data::generate_signal(spec, net, 7);
 
-  const auto cycles = [&](dist::DistStore& store, int rank, int count) {
-    // Remote ids for rank 0: rank 1's shard.
-    const auto [lo, hi] = store.partition(1);
-    std::vector<std::int64_t> ids;
-    for (std::int64_t i = lo; i < std::min(hi, lo + 6); ++i) ids.push_back(i);
-    for (int c = 0; c < count; ++c) {
-      store.prefetch_batch(rank, ids);
-      for (std::int64_t i : ids) (void)store.fetch(rank, i);
-      store.notify_batch_delivered(rank);
-    }
+  const auto steady_heap_allocs = [&] {
+    dist::DistStore store(data::StandardDataset(raw, spec), /*world=*/2,
+                          dist::NetworkModel{}, /*cache_snapshots=*/0);
+    // Rank 0 walks 96 snapshots around its shard's end, so about half
+    // of each batch is remote.
+    data::RankSource source(store, /*rank=*/0);
+    data::LoaderOptions opt;
+    opt.batch_size = 8;
+    opt.sampler = data::SamplerOptions{data::ShuffleMode::kGlobal, 0, 1, 5, 8};
+    opt.prefetch_lookahead = 2;
+    const std::int64_t boundary = store.partition(1).first;
+    data::DataLoader inner(source, opt, boundary - 48, boundary + 48);
+    data::PrefetchLoader pf(inner, /*depth=*/2);
+    const auto run_epochs = [&](int first, int count) {
+      data::Batch b;
+      for (int e = first; e < first + count; ++e) {
+        pf.start_epoch(e);
+        while (pf.next(b)) store.notify_batch_delivered(0);
+      }
+    };
+    run_epochs(0, 2);  // planning epoch + one full recycle pass
+    const std::uint64_t h0 = MemoryTracker::instance().heap_allocs_total();
+    run_epochs(2, 3);
+    const std::uint64_t allocs = MemoryTracker::instance().heap_allocs_total() - h0;
+    EXPECT_GT(store.stats().bytes_copied, 0u);
+    return allocs;
   };
 
-  {
-    data::StandardDataset dsa(raw, spec);
-    dist::DistStore store(std::move(dsa), /*world=*/2, dist::NetworkModel{},
-                          /*cache_snapshots=*/0,
-                          /*cache_bytes=*/0, /*async_prefetch=*/true);
-    cycles(store, 0, 2);  // planning cycle + one recycle pass
-    const std::uint64_t h0 = MemoryTracker::instance().heap_allocs_total();
-    cycles(store, 0, 4);
-    EXPECT_EQ(MemoryTracker::instance().heap_allocs_total() - h0, 0u);
-  }
-
+  EXPECT_EQ(steady_heap_allocs(), 0u);
   {
     ArenaToggleGuard guard(false);
-    data::StandardDataset dsb(raw, spec);
-    dist::DistStore store(std::move(dsb), /*world=*/2, dist::NetworkModel{},
-                          /*cache_snapshots=*/0,
-                          /*cache_bytes=*/0, /*async_prefetch=*/true);
-    cycles(store, 0, 2);
-    const std::uint64_t h0 = MemoryTracker::instance().heap_allocs_total();
-    cycles(store, 0, 4);
-    EXPECT_GT(MemoryTracker::instance().heap_allocs_total() - h0, 0u);
+    EXPECT_GT(steady_heap_allocs(), 0u);
   }
 }
 

@@ -4,11 +4,13 @@
 //    announced consolidated fetch (announced snapshots are pinned
 //    until consumed);
 //  * the bytes-bounded LRU mode;
-//  * the async per-rank staging pipeline: identical ledger to the
-//    synchronous path, bit-exact data, and the overlapped/exposed
-//    split of modeled fetch time, classified at delivery;
+//  * worker-announced staging: a batch announced and fetched on a
+//    prefetch worker moves bit-exact data with the ledger of a
+//    consumer-announced one, and the overlapped/exposed split of
+//    modeled fetch time is classified at delivery;
 //  * reader ranks added after construction run the same request
 //    lifecycle as workers, concurrently with them (a TSan target);
+//  * the store's counters repeat exactly across runs of one job;
 //  * PrefetchLoader abort/restart stress (a TSan target — this suite
 //    runs under PGTI_SANITIZE=thread via scripts/check.sh);
 //  * DistTrainer with prefetch on vs off: bit-identical losses,
@@ -23,6 +25,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -136,30 +139,34 @@ TEST(StoreCache, BytesBoundedModeEvictsByBytes) {
   EXPECT_EQ(st.remote_bytes, st.bytes_copied + st.cache_hit_bytes);
 }
 
-// --------------------------------------------- async staging pipeline
+// --------------------------------------------- worker-announced staging
 
 TEST(AsyncPrefetch, StagesAnnouncedBatchBitExactly) {
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 4, dist::NetworkModel{},
-                        dist::DistStore::kDefaultCacheSnapshots,
-                        /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
-  ASSERT_TRUE(store.async_prefetch());
+  dist::DistStore store(ds, 4, dist::NetworkModel{});
   const auto [lo1, hi1] = store.partition(1);
   const std::vector<std::int64_t> batch{lo1, lo1 + 1, hi1 - 1};
   const std::uint64_t sb = static_cast<std::uint64_t>(store.snapshot_bytes());
 
-  store.prefetch_batch(0, batch);
-  // Give the staging thread a real compute window to hide the modeled
-  // time behind before the consumer asks.
+  // A prefetch worker announces (and so stages) the batch and fetches
+  // it; the consumer computes on earlier batches for a real window
+  // before this one is delivered.
+  std::vector<std::pair<Tensor, Tensor>> fetched;
+  std::thread worker([&] {
+    store.prefetch_batch(0, batch);
+    for (std::int64_t id : batch) fetched.push_back(store.fetch(0, id));
+  });
+  worker.join();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  for (std::int64_t id : batch) {
-    const auto [x, y] = store.fetch(0, id);
-    const auto [ox, oy] = store.fetch(1, id);
+  store.notify_batch_delivered(0);  // the batch reached its consumer
+  ASSERT_EQ(fetched.size(), batch.size());
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    const auto& [x, y] = fetched[j];
+    const auto [ox, oy] = store.fetch(1, batch[j]);
     EXPECT_FALSE(x.shares_storage_with(ox));
     EXPECT_EQ(ops::max_abs_diff(x, ox.contiguous()), 0.0f);
     EXPECT_EQ(ops::max_abs_diff(y, oy.contiguous()), 0.0f);
   }
-  store.notify_batch_delivered(0);  // the batch reached its consumer
 
   const dist::StoreStats st = store.stats();
   EXPECT_EQ(st.remote_snapshots, 3u);
@@ -180,29 +187,34 @@ TEST(AsyncPrefetch, StagesAnnouncedBatchBitExactly) {
 }
 
 TEST(AsyncPrefetch, LedgerIdenticalToSynchronousPath) {
-  data::StandardDataset ds_sync = tiny_dataset();
-  data::StandardDataset ds_async = tiny_dataset();
-  dist::DistStore sync_store(ds_sync, 4, dist::NetworkModel{});
-  dist::DistStore async_store(ds_async, 4, dist::NetworkModel{},
-                              dist::DistStore::kDefaultCacheSnapshots,
-                              /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
-  const auto [lo1, hi1] = sync_store.partition(1);
-  const auto [lo2, hi2] = sync_store.partition(2);
+  // The same batches, announced and fetched by the consumer itself
+  // (a depth-0 pipeline) or by a prefetch worker, then delivered on
+  // the consumer.
+  data::StandardDataset ds_consumer = tiny_dataset();
+  data::StandardDataset ds_worker = tiny_dataset();
+  dist::DistStore consumer_store(ds_consumer, 4, dist::NetworkModel{});
+  dist::DistStore worker_store(ds_worker, 4, dist::NetworkModel{});
+  const auto [lo1, hi1] = consumer_store.partition(1);
+  const auto [lo2, hi2] = consumer_store.partition(2);
   (void)hi1;
   (void)hi2;
   const std::vector<std::vector<std::int64_t>> batches{
       {lo1, lo1 + 1, lo2},          // two owners -> two messages
       {lo1, lo2 + 1, lo2 + 2},      // lo1 cached -> hit
   };
-  for (dist::DistStore* store : {&sync_store, &async_store}) {
-    for (const auto& batch : batches) {
-      store->prefetch_batch(0, batch);
-      for (std::int64_t id : batch) store->fetch(0, id);
-      store->notify_batch_delivered(0);
-    }
+  const auto stage = [](dist::DistStore& store, const std::vector<std::int64_t>& batch) {
+    store.prefetch_batch(0, batch);
+    for (std::int64_t id : batch) store.fetch(0, id);
+  };
+  for (const auto& batch : batches) {
+    stage(consumer_store, batch);
+    consumer_store.notify_batch_delivered(0);
+    std::thread worker(stage, std::ref(worker_store), std::cref(batch));
+    worker.join();
+    worker_store.notify_batch_delivered(0);
   }
-  const dist::StoreStats a = sync_store.stats();
-  const dist::StoreStats b = async_store.stats();
+  const dist::StoreStats a = consumer_store.stats();
+  const dist::StoreStats b = worker_store.stats();
   EXPECT_EQ(a.local_snapshots, b.local_snapshots);
   EXPECT_EQ(a.remote_snapshots, b.remote_snapshots);
   EXPECT_EQ(a.remote_bytes, b.remote_bytes);
@@ -211,8 +223,9 @@ TEST(AsyncPrefetch, LedgerIdenticalToSynchronousPath) {
   EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.cache_hit_bytes, b.cache_hit_bytes);
   EXPECT_DOUBLE_EQ(a.modeled_seconds, b.modeled_seconds);
-  // Sync exposes everything; async, delivered batch by batch, closes
-  // the same split and never exposes more.
+  // The consumer-announced store exposes everything; the
+  // worker-announced one, delivered batch by batch, closes the same
+  // split and never exposes more.
   EXPECT_DOUBLE_EQ(a.exposed_seconds, a.modeled_seconds);
   EXPECT_DOUBLE_EQ(a.overlapped_seconds, 0.0);
   EXPECT_GT(b.exposed_seconds, 0.0);
@@ -222,8 +235,7 @@ TEST(AsyncPrefetch, LedgerIdenticalToSynchronousPath) {
 
 TEST(AsyncPrefetch, AbandonReleasesOrphanedAnnouncements) {
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/0,
-                        /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
+  dist::DistStore store(ds, 4, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/0);
   const auto [lo1, hi1] = store.partition(1);
   (void)hi1;
   const std::uint64_t sb = static_cast<std::uint64_t>(store.snapshot_bytes());
@@ -253,13 +265,11 @@ TEST(AsyncPrefetch, AbandonReleasesOrphanedAnnouncements) {
 }
 
 TEST(AsyncPrefetch, ClassifiedAtDeliveryNotAtFetch) {
-  // A prefetch worker fetches a batch ahead of the consumer's compute,
-  // so the overlap window closes when the batch is delivered, not when
-  // the worker fetched it.
+  // A prefetch worker announces and fetches a batch ahead of the
+  // consumer's compute, so the overlap window closes when the batch is
+  // delivered, not when the worker fetched it.
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 4, dist::NetworkModel{},
-                        dist::DistStore::kDefaultCacheSnapshots,
-                        /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
+  dist::DistStore store(ds, 4, dist::NetworkModel{});
   const auto [lo1, hi1] = store.partition(1);
   const std::vector<std::int64_t> batch{lo1, lo1 + 1, hi1 - 1};
 
@@ -288,13 +298,11 @@ TEST(AsyncPrefetch, ClassifiedAtDeliveryNotAtFetch) {
 
 TEST(AsyncPrefetch, ConsumerThatFetchesItselfHidesNothingByWaiting) {
   // The serving engine's pattern: one thread announces, fetches at
-  // once, and delivers.  Its time between the first fetch and the
-  // delivery is its own blocked wait (here stretched to 20 ms), so the
-  // window closes at that first fetch and the request stays exposed.
+  // once, and delivers.  It waited for its own copies, and its time
+  // before the delivery (here stretched to 20 ms) hid nothing, so the
+  // request stays exposed in full.
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 4, dist::NetworkModel{},
-                        dist::DistStore::kDefaultCacheSnapshots,
-                        /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
+  dist::DistStore store(ds, 4, dist::NetworkModel{});
   const auto [lo1, hi1] = store.partition(1);
   const std::vector<std::int64_t> batch{lo1, lo1 + 1, hi1 - 1};
 
@@ -304,23 +312,20 @@ TEST(AsyncPrefetch, ConsumerThatFetchesItselfHidesNothingByWaiting) {
   store.notify_batch_delivered(0);
   const dist::StoreStats st = store.stats();
   EXPECT_GT(st.modeled_seconds, 0.015);
-  EXPECT_LT(st.overlapped_seconds, 0.015) << "the wait after the first fetch is not overlap";
-  EXPECT_NEAR(st.overlapped_seconds + st.exposed_seconds, st.modeled_seconds, 1e-9);
+  EXPECT_EQ(st.overlapped_seconds, 0.0) << "a consumer's own announcement hides nothing";
+  EXPECT_EQ(st.exposed_seconds, st.modeled_seconds);
   EXPECT_NEAR(store.drain_modeled_seconds(0), st.exposed_seconds, 1e-9);
 }
 
 // ------------------------------------------------------ reader ranks
 
 TEST(ReaderRanks, AsyncReadersAreOrdinaryRanksUnderConcurrentTraffic) {
-  // Readers join after construction, while the workers' staging
-  // threads are starting up.  Staging threads never read the rank
-  // table, so this is race-free (a TSan target: this suite runs under
-  // PGTI_SANITIZE=thread).  Each reader then runs the same request
-  // lifecycle as a worker, on its own staging thread, concurrently
-  // with worker traffic.
+  // Readers join after construction.  Each then runs the same request
+  // lifecycle as a worker, on its own thread, concurrently with worker
+  // traffic on the other ranks (a TSan target: this suite runs under
+  // PGTI_SANITIZE=thread).
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 2, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/4,
-                        /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
+  dist::DistStore store(ds, 2, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/4);
   const int reader_a = store.add_reader();
   const int reader_b = store.add_reader();
   EXPECT_EQ(reader_a, 2);
@@ -594,6 +599,27 @@ TEST(DistPrefetch, IndexModesBitIdenticalWithPrefetch) {
   }
 }
 
+TEST(DistPrefetch, StoreCountersRepeatAcrossRuns) {
+  // Each rank's prefetch worker is the only thread that stages, so the
+  // sequence of cache operations per rank — and every counter it
+  // drives — is a function of the job alone, at depth 2 included.
+  core::DistConfig cfg = prefetch_dist(core::DistMode::kBaselineDdp);
+  cfg.world = 4;
+  cfg.prefetch_depth = 2;
+  cfg.store_cache_snapshots = 16;
+  cfg.max_batches_per_epoch = 8;
+  cfg.seed = 17;
+  const dist::StoreStats first = core::DistTrainer(cfg).run().store;
+  ASSERT_GT(first.cache_evictions, 0u);
+  for (int run = 1; run < 5; ++run) {
+    const dist::StoreStats st = core::DistTrainer(cfg).run().store;
+    EXPECT_EQ(st.bytes_copied, first.bytes_copied) << "run " << run;
+    EXPECT_EQ(st.cache_hits, first.cache_hits) << "run " << run;
+    EXPECT_EQ(st.cache_hit_bytes, first.cache_hit_bytes) << "run " << run;
+    EXPECT_EQ(st.cache_evictions, first.cache_evictions) << "run " << run;
+  }
+}
+
 // ------------------------------------------ schedule-aware eviction
 
 TEST(ScheduleAwareEviction, NearerScheduledSnapshotOutlivesConsumedResidue) {
@@ -778,8 +804,7 @@ TEST(DepthNPrefetch, TruncatedEpochReconciliationAtDepthFour) {
   // and count as fully overlapped; afterwards the stats decompose
   // exactly and the pipeline delivers clean epochs again.
   data::StandardDataset ds = tiny_dataset();
-  dist::DistStore store(ds, 2, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/0,
-                        /*cache_bytes_per_rank=*/0, /*async_prefetch=*/true);
+  dist::DistStore store(ds, 2, dist::NetworkModel{}, /*cache_snapshots_per_rank=*/0);
   data::RankSource source(store, /*rank=*/0);
   data::LoaderOptions opt;
   opt.batch_size = 8;

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 
 #include "autograd/ops.h"
 #include "data/dataset_spec.h"
@@ -11,6 +13,7 @@
 #include "dist/comm.h"
 #include "dist/ddp.h"
 #include "dist/dist_store.h"
+#include "runtime/memory_tracker.h"
 #include "tensor/tensor_ops.h"
 
 namespace pgti::dist {
@@ -409,13 +412,33 @@ TEST(DistStoreMaterialized, LedgerRecordsAnAllLocalBatchAsFree) {
   EXPECT_EQ(store.drain_modeled_seconds(2), 0.0);
 }
 
+std::ptrdiff_t process_threads() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
+
 TEST(DistStoreMaterialized, LegacyConstructorAcceptsOnlyConsolidation) {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wdeprecated-declarations"
   EXPECT_NO_THROW(DistStore(tiny_dataset(), 4, NetworkModel{}, true, -1, 0, false));
   EXPECT_THROW(DistStore(tiny_dataset(), 4, NetworkModel{}, false, -1, 0, false),
                std::invalid_argument);
+
+  // The former async_prefetch argument is ignored: the store starts no
+  // thread, and the announcing thread has staged a batch by the time
+  // prefetch_batch returns.
+  data::StandardDataset ds = tiny_dataset();
+  const std::ptrdiff_t threads_before = process_threads();
+  DistStore store(std::move(ds), 4, NetworkModel{}, true, -1, 0, /*async_prefetch=*/true);
+  EXPECT_EQ(process_threads(), threads_before);
 #pragma GCC diagnostic pop
+  const auto [lo1, hi1] = store.partition(1);
+  (void)hi1;
+  store.prefetch_batch(0, {lo1, lo1 + 1});
+  EXPECT_EQ(store.stats().bytes_copied,
+            2u * static_cast<std::uint64_t>(store.snapshot_bytes()));
+  store.fetch(0, lo1);
+  store.fetch(0, lo1 + 1);
 }
 
 TEST(DistStoreMaterialized, RemoteFetchMovesRealBytesBitExactly) {
@@ -470,21 +493,66 @@ TEST(DistStoreMaterialized, CacheHitsAbsorbRepeatedFetches) {
 }
 
 TEST(DistStoreMaterialized, SecondAnnouncementBeforeConsumptionThrows) {
-  // Announce once, consume once: the same rule for inline and
-  // asynchronous staging, since both run the same request lifecycle.
-  for (bool async : {false, true}) {
-    data::StandardDataset ds = tiny_dataset();
-    DistStore store(ds, 4, NetworkModel{}, DistStore::kDefaultCacheSnapshots,
-                    /*cache_bytes_per_rank=*/0, async);
-    const auto [lo1, hi1] = store.partition(1);
-    (void)hi1;
-    store.prefetch_batch(0, {lo1});
-    EXPECT_THROW(store.prefetch_batch(0, {lo1}), std::logic_error) << async;
-    store.fetch(0, lo1);
-    EXPECT_NO_THROW(store.prefetch_batch(0, {lo1})) << async;
-    store.fetch(0, lo1);
-    EXPECT_EQ(store.stats().remote_snapshots, 2u) << "the refused one is not priced";
+  // Announce once, consume once — within one batch too.
+  data::StandardDataset ds = tiny_dataset();
+  DistStore store(ds, 4, NetworkModel{});
+  const auto [lo1, hi1] = store.partition(1);
+  (void)hi1;
+  store.prefetch_batch(0, {lo1});
+  EXPECT_THROW(store.prefetch_batch(0, {lo1}), std::logic_error);
+  EXPECT_THROW(store.prefetch_batch(0, {lo1 + 1, lo1 + 1}), std::logic_error);
+  store.fetch(0, lo1);
+  EXPECT_NO_THROW(store.prefetch_batch(0, {lo1}));
+  store.fetch(0, lo1);
+  EXPECT_EQ(store.stats().remote_snapshots, 2u) << "the refused ones are not priced";
+  EXPECT_EQ(store.stats().bytes_copied,
+            static_cast<std::uint64_t>(store.snapshot_bytes()))
+      << "nor copied";
+}
+
+TEST(DistStoreMaterialized, FailedStagingLeavesTheStoreUnchanged) {
+  // A host-space limit lets the first remote snapshot's copy through
+  // and refuses the second.  The failure surfaces on the announcing
+  // thread, and nothing of the batch is recorded, pinned or in flight.
+  data::StandardDataset ds = tiny_dataset();
+  DistStore store(ds, 4, NetworkModel{}, /*cache_snapshots_per_rank=*/0);
+  const auto [lo1, hi1] = store.partition(1);
+  (void)hi1;
+  const std::vector<std::int64_t> batch{lo1, lo1 + 1};
+  const std::uint64_t sb = static_cast<std::uint64_t>(store.snapshot_bytes());
+  MemoryTracker& tracker = MemoryTracker::instance();
+  // One snapshot is an x and a y copy of sb / 2 bytes each.
+  tracker.set_limit(kHostSpace, tracker.current(kHostSpace) + sb + sb / 4);
+  EXPECT_THROW(store.prefetch_batch(0, batch), OutOfMemoryError);
+  tracker.set_limit(kHostSpace, 0);
+  StoreStats st = store.stats();
+  EXPECT_EQ(st.remote_snapshots, 0u) << "no price recorded";
+  EXPECT_EQ(st.request_messages, 0u);
+  EXPECT_EQ(st.modeled_seconds, 0.0);
+  EXPECT_EQ(st.bytes_copied, 0u) << "no copy recorded";
+  EXPECT_EQ(st.cache_hits, 0u) << "no hit recorded";
+  EXPECT_EQ(st.remote_bytes, st.bytes_copied + st.cache_hit_bytes);
+
+  // With the limit lifted the same batch announces (nothing was left
+  // in flight), copies both snapshots (nothing was left resident), and
+  // every copy evicts once consumed (nothing was left pinned).
+  ASSERT_NO_THROW(store.prefetch_batch(0, batch));
+  for (std::int64_t id : batch) {
+    const auto [x, y] = store.fetch(0, id);
+    const auto [ox, oy] = store.fetch(1, id);
+    EXPECT_FALSE(x.shares_storage_with(ox));
+    EXPECT_EQ(ops::max_abs_diff(x, ox.contiguous()), 0.0f);
+    EXPECT_EQ(ops::max_abs_diff(y, oy.contiguous()), 0.0f);
   }
+  store.notify_batch_delivered(0);
+  st = store.stats();
+  EXPECT_EQ(st.remote_snapshots, 2u);
+  EXPECT_EQ(st.request_messages, 1u);
+  EXPECT_EQ(st.bytes_copied, 2u * sb);
+  EXPECT_EQ(st.cache_hits, 0u);
+  EXPECT_EQ(st.cache_evictions, 2u);
+  EXPECT_EQ(st.remote_bytes, st.bytes_copied + st.cache_hit_bytes);
+  EXPECT_EQ(st.exposed_seconds, st.modeled_seconds) << "delivered by its announcer";
 }
 
 TEST(DistStoreMaterialized, LruEvictsLeastRecentlyUsed) {

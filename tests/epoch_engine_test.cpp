@@ -2,8 +2,8 @@
 //
 //  * BatchPipeline delivers the inner loader's exact batch sequence at
 //    every prefetch depth (the bit-identical-losses contract) and
-//    announces each batch once, in delivery order, whether a
-//    lookahead loader is driven synchronously or by a PrefetchLoader;
+//    announces each batch once, in delivery order, on the thread that
+//    stages it, never more than `depth` batches ahead of consumption;
 //  * the single-process Trainer runs the same engine at depth 0/1/2/4
 //    with identical losses for kIndex AND kGpuIndex, and a prefetched
 //    device run hides part of the modeled PCIe leg
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -53,15 +54,21 @@ void expect_identical_curves(const TrainResult& a, const TrainResult& b,
 // ------------------------------------------------- BatchPipeline
 
 // Forwards to an IndexSource and records every prefetch_batch
-// announcement in call order.  A prefetch worker (start_epoch) and the
-// consumer (announce_next_batch) both announce, hence the lock.
+// announcement, and the thread that made it, in call order.  The
+// consumer reads the count while a prefetch worker announces, hence
+// the lock.
 class RecordingSource final : public data::SnapshotSource {
  public:
+  struct Announcement {
+    std::vector<std::int64_t> ids;
+    std::thread::id thread;
+  };
+
   explicit RecordingSource(const data::IndexDataset& ds) : inner_(ds) {}
   std::pair<Tensor, Tensor> get(std::int64_t i) const override { return inner_.get(i); }
   void prefetch_batch(const std::vector<std::int64_t>& ids) const override {
     std::lock_guard<std::mutex> lock(mu_);
-    announced_.push_back(ids);
+    announced_.push_back({ids, std::this_thread::get_id()});
   }
   std::int64_t num_snapshots() const override { return inner_.num_snapshots(); }
   MemorySpaceId space() const override { return inner_.space(); }
@@ -69,7 +76,11 @@ class RecordingSource final : public data::SnapshotSource {
   const data::SplitRanges& splits() const override { return inner_.splits(); }
   const data::DatasetSpec& spec() const override { return inner_.spec(); }
 
-  std::vector<std::vector<std::int64_t>> take() {
+  std::size_t count() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return announced_.size();
+  }
+  std::vector<Announcement> take() {
     std::lock_guard<std::mutex> lock(mu_);
     return std::exchange(announced_, {});
   }
@@ -77,7 +88,7 @@ class RecordingSource final : public data::SnapshotSource {
  private:
   data::IndexSource inner_;
   mutable std::mutex mu_;
-  mutable std::vector<std::vector<std::int64_t>> announced_;
+  mutable std::vector<Announcement> announced_;
 };
 
 TEST(BatchPipeline, DeliversExactSequenceAtEveryDepth) {
@@ -99,10 +110,11 @@ TEST(BatchPipeline, DeliversExactSequenceAtEveryDepth) {
   ASSERT_FALSE(expected.empty());
   source.take();
 
-  // {lookahead, depth}.  Lookahead 2 driven synchronously (depth 0)
-  // relies on BatchPipeline announcing after each delivery, as a
-  // depth-2 PrefetchLoader does; both must announce every batch once,
-  // in delivery order.
+  // {lookahead, depth}.  Every case announces every batch once, in
+  // delivery order, right before staging it: on the consumer at depth
+  // 0, on one prefetch worker otherwise, which the budget gate keeps
+  // at most `depth` batches ahead of consumption.
+  const std::thread::id consumer = std::this_thread::get_id();
   std::vector<std::vector<std::int64_t>> announced_sync, announced_depth2;
   const std::vector<std::pair<int, int>> cases = {{0, 0}, {2, 0}, {1, 1}, {2, 2}, {4, 4}};
   for (const auto& [lookahead, depth] : cases) {
@@ -116,9 +128,22 @@ TEST(BatchPipeline, DeliversExactSequenceAtEveryDepth) {
       ASSERT_LT(i, expected.size()) << "depth " << depth;
       EXPECT_EQ(b.indices, expected[i]) << "depth " << depth << " batch " << i;
       ++i;
+      EXPECT_LE(source.count(), i + static_cast<std::size_t>(depth))
+          << "lookahead " << lookahead << " depth " << depth << " after delivery " << i;
     }
     EXPECT_EQ(i, expected.size()) << "depth " << depth;
-    std::vector<std::vector<std::int64_t>> announced = source.take();
+    const std::vector<RecordingSource::Announcement> records = source.take();
+    ASSERT_FALSE(records.empty());
+    std::vector<std::vector<std::int64_t>> announced;
+    for (const RecordingSource::Announcement& a : records) {
+      announced.push_back(a.ids);
+      if (depth == 0) {
+        EXPECT_EQ(a.thread, consumer) << "lookahead " << lookahead;
+      } else {
+        EXPECT_NE(a.thread, consumer) << "depth " << depth;
+        EXPECT_EQ(a.thread, records.front().thread) << "depth " << depth;
+      }
+    }
     EXPECT_EQ(announced, expected) << "lookahead " << lookahead << " depth " << depth;
     if (depth == 0 && lookahead == 2) announced_sync = std::move(announced);
     if (depth == 2) announced_depth2 = std::move(announced);

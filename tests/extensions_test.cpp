@@ -4,13 +4,18 @@
 // signal (paper §7).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "autograd/gradcheck.h"
 #include "core/pgt_i.h"
 #include "data/dynamic_graph.h"
 #include "data/prefetch.h"
+#include "nn/layers.h"
 #include "nn/serialize.h"
 #include "optim/optim.h"
 #include "tensor/tensor_ops.h"
@@ -170,6 +175,83 @@ TEST(Checkpoint, MissingFileRejected) {
   auto a = core::make_model(core::ModelKind::kPgtDcrnn, spec, net, 8, 1, 1, 11);
   EXPECT_THROW(nn::load_checkpoint(*a.model, "/tmp/does_not_exist_pgti.bin"),
                std::runtime_error);
+}
+
+// Writes checkpoint fields one at a time in save_checkpoint's layout
+// (magic, count, then per entry: name length, name, rank, dims, float
+// data), so a test can corrupt any of them.  Removes the file when it
+// goes out of scope.
+class RawCheckpoint {
+ public:
+  explicit RawCheckpoint(const std::string& file)
+      : path_(testing::TempDir() + file), os_(path_, std::ios::binary | std::ios::trunc) {
+    const std::uint32_t magic = 0x50475449;
+    os_.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  }
+  ~RawCheckpoint() { std::remove(path_.c_str()); }
+
+  RawCheckpoint& u64(std::uint64_t v) {
+    os_.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    return *this;
+  }
+  RawCheckpoint& name(const std::string& n) {
+    u64(n.size());
+    os_.write(n.data(), static_cast<std::streamsize>(n.size()));
+    return *this;
+  }
+  /// One well-formed entry: `dims` and dims-product zero floats.
+  RawCheckpoint& entry(const std::string& n, const std::vector<std::uint64_t>& dims) {
+    name(n).u64(dims.size());
+    std::uint64_t numel = 1;
+    for (std::uint64_t d : dims) {
+      u64(d);
+      numel *= d;
+    }
+    const std::vector<float> data(numel, 0.0f);
+    os_.write(reinterpret_cast<const char*>(data.data()),
+              static_cast<std::streamsize>(numel * sizeof(float)));
+    return *this;
+  }
+  const std::string& path() {
+    os_.flush();
+    return path_;
+  }
+
+ private:
+  std::string path_;
+  std::ofstream os_;
+};
+
+TEST(Checkpoint, RepeatedParameterRejected) {
+  // weight twice, bias never: the count matches the module's, but the
+  // file does not cover it.
+  Rng rng(3);
+  nn::Linear layer(3, 2, rng);
+  RawCheckpoint file("pgti_ckpt_repeated.bin");
+  file.u64(2).entry("weight", {3, 2}).entry("weight", {3, 2});
+  EXPECT_THROW(nn::load_checkpoint(layer, file.path()), std::runtime_error);
+}
+
+TEST(Checkpoint, OversizedNameLengthRejected) {
+  // Name lengths no parameter has are refused before anything is
+  // allocated, whether absurd (2^62) or merely large (3 GiB).
+  Rng rng(3);
+  nn::Linear layer(3, 2, rng);
+  for (std::uint64_t len : {std::uint64_t{1} << 62, std::uint64_t{3} << 30}) {
+    RawCheckpoint file("pgti_ckpt_long_name.bin");
+    file.u64(1).u64(len);
+    EXPECT_THROW(nn::load_checkpoint(layer, file.path()), std::runtime_error) << len;
+  }
+}
+
+TEST(Checkpoint, OverflowingShapeRejected) {
+  // A shape whose element count overflows int64 is a shape mismatch,
+  // reported before any element count is computed from it.
+  Rng rng(3);
+  nn::Linear layer(3, 2, rng);
+  RawCheckpoint file("pgti_ckpt_huge_shape.bin");
+  file.u64(1).name("weight").u64(2).u64(std::uint64_t{1} << 62).u64(4);
+  EXPECT_THROW(nn::load_checkpoint(layer, file.path()), std::runtime_error);
 }
 
 // ------------------------------------------------------------- prefetch
