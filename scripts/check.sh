@@ -6,9 +6,12 @@
 # oracle gate proving libpgti.a carries no `_reference` kernel and no
 # `gru_fusion` switch (those live in the test-and-bench-only
 # pgti_reference library), the alloc-free and serving gates re-run by
-# test name, and a benchmark smoke proving the benchmark/ harness
-# still builds against the library and passes every gate at smoke
-# scale (benchmark/run.sh --smoke, built in build-bench/).
+# test name, the kernel parity suite re-run at 1 and 3 pool threads and
+# in a baseline-ISA build (<build-dir>-portable, -DPGTI_NATIVE=OFF,
+# kernel_fusion_test and tensor_ops_test only), and a benchmark smoke
+# proving the benchmark/ harness still builds against the library and
+# passes every gate at smoke scale (benchmark/run.sh --smoke, built in
+# build-bench/).
 #
 #   scripts/check.sh [build-dir]
 #
@@ -85,6 +88,25 @@ echo "== serving gate: micro-batch bit-parity + snapshot isolation =="
 # training thread must never bleed into a captured snapshot.
 "${build_dir}/serve_test" \
   --gtest_filter='ServeBitParity.CoalescedBatchMatchesSequentialForwards:ServeSnapshot.PublishFromTrainingThreadIsolatesVersions'
+
+echo
+echo "== kernel parity across partitions: kernel_fusion_test at 1 and 3 pool threads =="
+# The GEMM micro-kernel's bits must not depend on how parallel_for cuts
+# the rows (DESIGN.md §14): a ragged chunk repeats its last row in spare
+# tile rows, so a different thread count moves every chunk boundary.
+PGTI_NUM_THREADS=1 "${build_dir}/kernel_fusion_test"
+PGTI_NUM_THREADS=3 "${build_dir}/kernel_fusion_test"
+
+echo
+echo "== portable kernels: -DPGTI_NATIVE=OFF build in ${build_dir}-portable =="
+# The micro-kernel's vector width is the target's own (16 lanes with
+# AVX-512, 4 with the SSE2 baseline), so the baseline-ISA build runs
+# different tiles; the parity suites must still pass there.
+portable_dir="${build_dir}-portable"
+cmake -B "${portable_dir}" -S "${repo_root}" -DPGTI_NATIVE=OFF -DPGTI_WERROR=ON
+cmake --build "${portable_dir}" -j "${jobs}" --target kernel_fusion_test tensor_ops_test
+"${portable_dir}/kernel_fusion_test"
+"${portable_dir}/tensor_ops_test"
 
 echo
 echo "== benchmark smoke: the benchmark/ harness builds and every gate passes =="

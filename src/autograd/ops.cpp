@@ -20,6 +20,10 @@ namespace {
 using Impl = Variable::Impl;
 using ImplPtr = std::shared_ptr<Variable::Impl>;
 
+// Whether a parent takes a gradient at all.  Variable::accumulate drops
+// a delta for any other parent, so a backward_fn skips computing it.
+bool needs_grad(const ImplPtr& impl) { return impl && impl->needs_grad; }
+
 // Direct-accumulation access to a parent's gradient buffer: returns
 // nullptr when the parent doesn't participate, otherwise the (zeroed on
 // first use) grad data.  Writing `+=` through this pointer is the
@@ -27,7 +31,7 @@ using ImplPtr = std::shared_ptr<Variable::Impl>;
 // whole contribution must still land before backward_fn returns (the
 // contract at the top of this file).
 float* grad_data(const ImplPtr& impl) {
-  if (!impl || !impl->needs_grad) return nullptr;
+  if (!needs_grad(impl)) return nullptr;
   if (!impl->grad.defined()) {
     impl->grad = Tensor::zeros(impl->value.shape(), impl->value.space());
   }
@@ -107,8 +111,8 @@ Variable matmul(const Variable& a, const Variable& b) {
   ImplPtr ia = a.impl(), ib = b.impl();
   Tensor va = a.value(), vb = b.value();
   return Variable::make_node(ops::matmul(va, vb), {a, b}, [ia, ib, va, vb](Impl& node) {
-    Variable::accumulate(ia, ops::matmul_nt(node.grad, vb));
-    Variable::accumulate(ib, ops::matmul_tn(va, node.grad));
+    if (needs_grad(ia)) Variable::accumulate(ia, ops::matmul_nt(node.grad, vb));
+    if (needs_grad(ib)) Variable::accumulate(ib, ops::matmul_tn(va, node.grad));
   });
 }
 
@@ -131,19 +135,21 @@ Variable matmul_bias_act(const Variable& a, const Variable& w, const Variable& b
   Tensor va = a.value(), vw = w.value();
   Tensor y = ops::matmul_bias_act(va, vw, bias.value(), act);
   return Variable::make_node(y, {a, w, bias}, [ia, iw, ib, va, vw, y, act](Impl& node) {
-    if (act == ops::Act::kIdentity) {
-      // No epilogue to fuse: dz aliases the incoming gradient.
-      Variable::accumulate(ia, ops::matmul_nt(node.grad, vw));
-      Variable::accumulate(iw, ops::matmul_tn(va, node.grad));
-      Variable::accumulate(ib, ops::colsum(node.grad));
-      return;
+    // dz = g ⊙ act'(y), g itself for kIdentity.  When a takes a gradient
+    // through an activation, the fused backward epilogue writes dz and
+    // computes a's delta in one dispatch; otherwise act_backward, the
+    // same per-element code, builds dz alone.  dz stays materialized for
+    // the tn/colsum accumulations.
+    Tensor dz;
+    if (act != ops::Act::kIdentity && needs_grad(ia)) {
+      dz = Tensor::empty(y.shape(), y.space());
+      Variable::accumulate(ia, ops::matmul_nt_act_backward(node.grad, y, act, vw, dz));
+    } else {
+      dz = ops::act_backward(node.grad, y, act);
+      if (needs_grad(ia)) Variable::accumulate(ia, ops::matmul_nt(dz, vw));
     }
-    // Fused backward epilogue: act' and the NT gemm in one dispatch;
-    // dz stays materialized for the tn/colsum accumulations.
-    Tensor dz = Tensor::empty(y.shape(), y.space());
-    Variable::accumulate(ia, ops::matmul_nt_act_backward(node.grad, y, act, vw, dz));
-    Variable::accumulate(iw, ops::matmul_tn(va, dz));
-    Variable::accumulate(ib, ops::colsum(dz));
+    if (needs_grad(iw)) Variable::accumulate(iw, ops::matmul_tn(va, dz));
+    if (needs_grad(ib)) Variable::accumulate(ib, ops::colsum(dz));
   });
 }
 

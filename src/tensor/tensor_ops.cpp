@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "runtime/thread_pool.h"
@@ -10,16 +11,6 @@ namespace pgti::ops {
 namespace {
 
 constexpr std::int64_t kGrain = 16384;  // min elements per parallel chunk
-
-// Register/cache blocking for the matmul family.  kMR rows of A are
-// held against one streamed row of B (4x fewer B loads than the naive
-// kernel) and accumulated into a kMR x kNR panel that lives in
-// registers; the j-panel keeps the B working set cache-resident.  The
-// accumulation per output element remains strictly k-ascending, so the
-// blocked kernels are bit-identical to the naive reference regardless
-// of blocking factors, thread count, or SIMD width.
-constexpr std::int64_t kMR = 4;   // register-block rows
-constexpr std::int64_t kNR = 64;  // j-panel width (floats)
 
 const Tensor& require_contiguous(const Tensor& t, const char* what) {
   if (!t.is_contiguous()) {
@@ -107,49 +98,144 @@ inline void store_epilogue(const float* acc, float* crow, std::int64_t nr,
   }
 }
 
-// Rows [i_lo, i_hi) of C[M,N] = A[M,K] * B[K,N] with fused epilogue.
-void gemm_nn_rows(const float* pa, const float* pb, float* pc, std::int64_t i_lo,
-                  std::int64_t i_hi, std::int64_t K, std::int64_t N,
-                  const float* bias, Act act) {
-  float acc[kMR][kNR];
-  for (std::int64_t i0 = i_lo; i0 < i_hi; i0 += kMR) {
-    const std::int64_t mr = std::min(kMR, i_hi - i0);
-    for (std::int64_t j0 = 0; j0 < N; j0 += kNR) {
-      const std::int64_t nr = std::min(kNR, N - j0);
-      for (std::int64_t r = 0; r < mr; ++r) std::fill(acc[r], acc[r] + nr, 0.0f);
-      if (mr == kMR && nr == kNR) {
-        // Full register block: one B-row load feeds kMR accumulator rows.
-        for (std::int64_t k = 0; k < K; ++k) {
-          const float* brow = pb + k * N + j0;
-          for (std::int64_t r = 0; r < kMR; ++r) {
-            const float a = pa[(i0 + r) * K + k];
-            for (std::int64_t j = 0; j < kNR; ++j) acc[r][j] += a * brow[j];
-          }
-        }
-      } else {
-        for (std::int64_t k = 0; k < K; ++k) {
-          const float* brow = pb + k * N + j0;
-          for (std::int64_t r = 0; r < mr; ++r) {
-            const float a = pa[(i0 + r) * K + k];
-            for (std::int64_t j = 0; j < nr; ++j) acc[r][j] += a * brow[j];
-          }
-        }
+// --- the GEMM micro-kernel (DESIGN.md §14) ------------------------------
+//
+// Every matmul entry point computes C[M, N] = A * B with B a row-major
+// [K, N] array and A read through a strided view, and every element of
+// C is one chain c = ((0 + a0*b0) + a1*b1) + ..., k ascending, each
+// product rounded before its add (-ffp-contract=off).  The tiles below
+// only choose which chains are in flight together, so C's bits do not
+// depend on the tile, the vector width, the thread count or the row
+// partition.
+
+// One vector register of floats at the target's widest width: GCC and
+// Clang set __BIGGEST_ALIGNMENT__ to it (64 bytes with AVX-512, 32 with
+// AVX2, 16 with SSE2 or NEON).  A vector's lanes are independent
+// chains, so the width moves speed, never bits.
+constexpr std::int64_t kVecBytes = __BIGGEST_ALIGNMENT__;
+using Vec = float __attribute__((vector_size(kVecBytes)));
+constexpr std::int64_t kLanes = kVecBytes / static_cast<std::int64_t>(sizeof(float));
+static_assert(kLanes <= 16 && 16 % kLanes == 0, "panel widths are multiples of 16 floats");
+
+// A[i, k] = p[i * row_stride + k * k_stride]: (K, 1) is a row-major
+// [M, K] A, (1, M) the transpose of a row-major [K, M] one.
+struct StridedA {
+  const float* p;
+  std::int64_t row_stride;
+  std::int64_t k_stride;
+};
+
+// Columns [j0, j0 + W) of C's rows [lo, hi), W = NV * kLanes, in MR x W
+// tiles whose MR * NV accumulators stay in vector registers for the
+// whole k loop: one load of each B vector feeds MR rows.  A ragged last
+// tile repeats row hi - 1 in its spare rows and stores only real ones.
+template <int MR, int NV>
+void gemm_panel(StridedA a, const float* pb, float* pc, std::int64_t lo, std::int64_t hi,
+                std::int64_t K, std::int64_t N, std::int64_t j0, const float* bias, Act act) {
+  constexpr std::int64_t W = NV * kLanes;
+  for (std::int64_t i0 = lo; i0 < hi; i0 += MR) {
+    std::int64_t arow[MR];
+    for (int r = 0; r < MR; ++r) arow[r] = std::min(i0 + r, hi - 1) * a.row_stride;
+    Vec acc[MR][NV] = {};
+    const float* brow = pb + j0;
+    for (std::int64_t k = 0; k < K; ++k, brow += N) {
+      Vec b[NV];
+      for (int v = 0; v < NV; ++v) std::memcpy(&b[v], brow + v * kLanes, sizeof(Vec));
+      for (int r = 0; r < MR; ++r) {
+        const float x = a.p[arow[r] + k * a.k_stride];
+        for (int v = 0; v < NV; ++v) acc[r][v] = acc[r][v] + x * b[v];
       }
-      for (std::int64_t r = 0; r < mr; ++r) {
-        store_epilogue(acc[r], pc + (i0 + r) * N + j0, nr, bias == nullptr ? nullptr : bias + j0,
-                       act);
-      }
+    }
+    for (std::int64_t r = 0; r < std::min<std::int64_t>(MR, hi - i0); ++r) {
+      float row[W];
+      std::memcpy(row, acc[r], sizeof row);
+      store_epilogue(row, pc + (i0 + r) * N + j0, W, bias == nullptr ? nullptr : bias + j0,
+                     act);
     }
   }
 }
 
-// Parallel grain for row-partitioned gemm: enough rows per chunk to
-// amortize dispatch, rounded to the register block so full blocks
-// dominate.
+// N < 16 is too narrow for a column panel, so vectorize across rows
+// instead: lane l accumulates row i0 + l, one vector per column of C.
+// With row stride 1 (matmul_tn's transposed A) a full block's kLanes
+// rows are contiguous at each k and load in place; otherwise they are
+// packed k-major on the stack, kKc k-steps at a time, with row hi - 1
+// repeated past the end.
+constexpr std::int64_t kKc = 256;
+
+void gemm_narrow(StridedA a, const float* pb, float* pc, std::int64_t lo, std::int64_t hi,
+                 std::int64_t K, std::int64_t N, const float* bias, Act act) {
+  float pack[kKc * kLanes];
+  for (std::int64_t i0 = lo; i0 < hi; i0 += kLanes) {
+    std::int64_t arow[kLanes];
+    for (std::int64_t l = 0; l < kLanes; ++l) arow[l] = std::min(i0 + l, hi - 1) * a.row_stride;
+    Vec acc[15] = {};  // one per column of C, N < 16
+    for (std::int64_t k0 = 0; k0 < K; k0 += kKc) {
+      const std::int64_t kc = std::min(kKc, K - k0);
+      const float* ak = pack;
+      std::int64_t ak_step = kLanes;
+      if (a.row_stride == 1 && i0 + kLanes <= hi) {
+        ak = a.p + i0 + k0 * a.k_stride;
+        ak_step = a.k_stride;
+      } else {
+        for (std::int64_t k = 0; k < kc; ++k) {
+          const std::int64_t ak_off = (k0 + k) * a.k_stride;
+          for (std::int64_t l = 0; l < kLanes; ++l) pack[k * kLanes + l] = a.p[arow[l] + ak_off];
+        }
+      }
+      for (std::int64_t j = 0; j < N; ++j) {
+        const float* bcol = pb + k0 * N + j;
+        Vec sum = acc[j];
+        for (std::int64_t k = 0; k < kc; ++k) {
+          Vec x;
+          std::memcpy(&x, ak + k * ak_step, sizeof x);
+          sum = sum + x * bcol[k * N];
+        }
+        acc[j] = sum;
+      }
+    }
+    float rows[kLanes][16];
+    for (std::int64_t j = 0; j < N; ++j) {
+      for (std::int64_t l = 0; l < kLanes; ++l) rows[l][j] = acc[j][l];
+    }
+    for (std::int64_t l = 0; l < std::min(kLanes, hi - i0); ++l) {
+      store_epilogue(rows[l], pc + (i0 + l) * N, N, bias, act);
+    }
+  }
+}
+
+// Rows [lo, hi) of C[M, N] = A * B[K, N], with the fused bias/activation
+// epilogue.  Panels of 64, then 32, then 16 columns, in 6 x 64, 12 x 32
+// and 16 x 16 tiles: at 16 lanes their 24, 24 and 16 accumulators, the
+// B vectors and a broadcast A value fit AVX-512's 32 vector registers.
+// A ragged remainder takes one more 16-wide panel ending at N: the
+// columns it shares with the panel before are recomputed as the same
+// chains, so they are rewritten with the same bits.
+void gemm_rows(StridedA a, const float* pb, float* pc, std::int64_t lo, std::int64_t hi,
+               std::int64_t K, std::int64_t N, const float* bias, Act act) {
+  if (N < 16) {
+    gemm_narrow(a, pb, pc, lo, hi, K, N, bias, act);
+    return;
+  }
+  std::int64_t j0 = 0;
+  for (; j0 + 64 <= N; j0 += 64) {
+    gemm_panel<6, 64 / kLanes>(a, pb, pc, lo, hi, K, N, j0, bias, act);
+  }
+  if (j0 + 32 <= N) {
+    gemm_panel<12, 32 / kLanes>(a, pb, pc, lo, hi, K, N, j0, bias, act);
+    j0 += 32;
+  }
+  if (j0 + 16 <= N) {
+    gemm_panel<16, 16 / kLanes>(a, pb, pc, lo, hi, K, N, j0, bias, act);
+    j0 += 16;
+  }
+  if (j0 < N) gemm_panel<16, 16 / kLanes>(a, pb, pc, lo, hi, K, N, N - 16, bias, act);
+}
+
+// Minimum rows per parallel_for chunk: enough multiply-adds to amortize
+// a dispatch.  Smaller products run inline.
 std::int64_t gemm_grain(std::int64_t K, std::int64_t N) {
-  const std::int64_t per_row = std::max<std::int64_t>(1, K * N);
-  std::int64_t rows = std::max<std::int64_t>(1, 4 * kGrain / per_row);
-  return ((rows + kMR - 1) / kMR) * kMR;
+  return std::max<std::int64_t>(1, 4 * kGrain / std::max<std::int64_t>(1, K * N));
 }
 
 Tensor matmul_bias_act_impl(const Tensor& a, const Tensor& b, const float* bias,
@@ -167,7 +253,7 @@ Tensor matmul_bias_act_impl(const Tensor& a, const Tensor& b, const float* bias,
   const float* pb = b.data();
   float* pc = out.data();
   parallel_for(0, M, gemm_grain(K, N), [&](std::int64_t lo, std::int64_t hi) {
-    gemm_nn_rows(pa, pb, pc, lo, hi, K, N, bias, act);
+    gemm_rows({pa, K, 1}, pb, pc, lo, hi, K, N, bias, act);
   });
   return out;
 }
@@ -297,40 +383,9 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = out.data();
-  // C[m, n] = sum_k A[k, m] * B[k, n].  Same register-blocked shape as
-  // gemm_nn_rows; the kMR A operands for row k are contiguous in A's
-  // row k, so the load is a plain 4-float read.
+  // C[m, n] = sum_k A[k, m] * B[k, n]: A read transposed, in place.
   parallel_for(0, M, gemm_grain(K, N), [&](std::int64_t lo, std::int64_t hi) {
-    float acc[kMR][kNR];
-    for (std::int64_t m0 = lo; m0 < hi; m0 += kMR) {
-      const std::int64_t mr = std::min(kMR, hi - m0);
-      for (std::int64_t j0 = 0; j0 < N; j0 += kNR) {
-        const std::int64_t nr = std::min(kNR, N - j0);
-        for (std::int64_t r = 0; r < mr; ++r) std::fill(acc[r], acc[r] + nr, 0.0f);
-        if (mr == kMR && nr == kNR) {
-          for (std::int64_t k = 0; k < K; ++k) {
-            const float* a4 = pa + k * M + m0;
-            const float* brow = pb + k * N + j0;
-            for (std::int64_t r = 0; r < kMR; ++r) {
-              const float akm = a4[r];
-              for (std::int64_t j = 0; j < kNR; ++j) acc[r][j] += akm * brow[j];
-            }
-          }
-        } else {
-          for (std::int64_t k = 0; k < K; ++k) {
-            const float* a4 = pa + k * M + m0;
-            const float* brow = pb + k * N + j0;
-            for (std::int64_t r = 0; r < mr; ++r) {
-              const float akm = a4[r];
-              for (std::int64_t j = 0; j < nr; ++j) acc[r][j] += akm * brow[j];
-            }
-          }
-        }
-        for (std::int64_t r = 0; r < mr; ++r) {
-          std::copy(acc[r], acc[r] + nr, pc + (m0 + r) * N + j0);
-        }
-      }
-    }
+    gemm_rows({pa, 1, M}, pb, pc, lo, hi, K, N, nullptr, Act::kIdentity);
   });
   return out;
 }
@@ -345,9 +400,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   // Row-row dot products cannot vectorize: each C[i, j] is one serial
   // k-chain, and SIMD across k would reassociate the sum.  Instead,
   // transpose B once (O(K*N), negligible next to the 2*M*K*N GEMM) and
-  // run the same j-panel-vectorized kernel as matmul.  Accumulation per
-  // element is still a single k-ascending chain — identical bits to
-  // the dot-product form, ~10x faster at backward shapes.  The [K, N]
+  // run the same micro-kernel as matmul.  Accumulation per element is
+  // still a single k-ascending chain — identical bits to the
+  // dot-product form, ~10x faster at backward shapes.  The [K, N]
   // scratch is an ordinary tensor: inside a train step the arena
   // recycles it like every other step tensor (DESIGN.md §16).
   Tensor bt = Tensor::empty({K, N}, b.space());
@@ -364,7 +419,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   float* pc = out.data();
   parallel_for(0, M, gemm_grain(K, N), [&](std::int64_t lo, std::int64_t hi) {
-    gemm_nn_rows(pa, pbt, pc, lo, hi, K, N, nullptr, Act::kIdentity);
+    gemm_rows({pa, K, 1}, pbt, pc, lo, hi, K, N, nullptr, Act::kIdentity);
   });
   return out;
 }
@@ -440,12 +495,12 @@ Tensor matmul_nt_act_backward(const Tensor& g, const Tensor& y, Act act,
   float* pd = dz.data();
   float* pc = out.data();
   // One dispatch: each row block materializes its dz rows (epilogue
-  // pre-pass) and immediately streams them through the NT panel gemm
+  // pre-pass) and immediately streams them through the gemm micro-kernel
   // while they are cache-hot.  dz remains fully written for the
   // downstream matmul_tn/colsum consumers.
   parallel_for(0, M, gemm_grain(K, N), [&](std::int64_t lo, std::int64_t hi) {
     act_backward_range(pg, py, pd, lo * K, hi * K, act);
-    gemm_nn_rows(pd, pwt, pc, lo, hi, K, N, nullptr, Act::kIdentity);
+    gemm_rows({pd, K, 1}, pwt, pc, lo, hi, K, N, nullptr, Act::kIdentity);
   });
   return out;
 }

@@ -16,6 +16,7 @@
 #include "graph/spatial.h"
 #include "nn/dcgru.h"
 #include "reference/reference.h"
+#include "runtime/memory_tracker.h"
 #include "tensor/tensor_ops.h"
 
 namespace pgti {
@@ -52,8 +53,8 @@ Csr random_csr(std::int64_t n, std::uint64_t seed) {
 // ------------------------------------------------- blocked matmul family
 
 TEST(BlockedMatmul, BitIdenticalToReference) {
-  // Shapes chosen to hit full 4x64 register blocks, ragged row tails,
-  // ragged j-panels, and tiny degenerate sizes.
+  // Shapes chosen to hit full register tiles, ragged row tails, ragged
+  // column remainders, and tiny degenerate sizes.
   const std::vector<Shape> cases = {
       {64, 64}, {256, 256}, {5, 7}, {130, 37}, {1, 1}, {3, 200}, {67, 96}};
   for (const Shape& mk : cases) {
@@ -118,6 +119,95 @@ TEST(FusedMatmul, BiasActMatchesUnfusedComposition) {
     Tensor unfused = ops::add_bias(ops::matmul(a, b), bias);
     ops::apply_act_(unfused, act);
     expect_bits(ops::matmul_bias_act(a, b, bias, act), unfused);
+  }
+}
+
+// ------------------------------------- micro-kernel panel classes, tails
+
+constexpr ops::Act kActs[] = {ops::Act::kIdentity, ops::Act::kSigmoid, ops::Act::kTanh,
+                              ops::Act::kRelu};
+
+// Every op of the matmul family against its oracle at one M x K x N:
+// matmul and the fused bias/activation forward compute [M, N] with
+// inner dimension K; matmul_tn, matmul_nt and the fused backward
+// epilogue take the backward shapes of that forward.
+void expect_family_parity(std::int64_t m, std::int64_t k, std::int64_t n, std::uint64_t seed) {
+  SCOPED_TRACE("M=" + std::to_string(m) + " K=" + std::to_string(k) + " N=" + std::to_string(n));
+  const Tensor a = randn({m, k}, seed);
+  const Tensor b = randn({k, n}, seed + 1);
+  const Tensor bias = randn({n}, seed + 2);
+  const Tensor g = randn({m, n}, seed + 3);
+  expect_bits(ops::matmul(a, b), ops::matmul_reference(a, b));
+  for (ops::Act act : kActs) {
+    SCOPED_TRACE("act " + std::to_string(static_cast<int>(act)));
+    // The unfused composition over the seed kernel.
+    Tensor want = ops::add_bias(ops::matmul_reference(a, b), bias);
+    ops::apply_act_(want, act);
+    expect_bits(ops::matmul_bias_act(a, b, bias, act), want);
+  }
+  // dW = A^T g: [K, N] with inner dimension M.
+  expect_bits(ops::matmul_tn(a, g), ops::matmul_tn_reference(a, g));
+  // dA = g W^T: [M, K] with inner dimension N, plain and through the
+  // fused backward epilogue (both dA and the materialized dz).
+  expect_bits(ops::matmul_nt(g, b), ops::matmul_nt_reference(g, b));
+  Tensor y = randn({m, n}, seed + 4);
+  ops::apply_act_(y, ops::Act::kSigmoid);
+  for (ops::Act act : kActs) {
+    SCOPED_TRACE("backward act " + std::to_string(static_cast<int>(act)));
+    Tensor dz = Tensor::empty({m, n});
+    const Tensor da = ops::matmul_nt_act_backward(g, y, act, b, dz);
+    const Tensor dz_want = ops::act_backward(g, y, act);
+    expect_bits(dz, dz_want);
+    expect_bits(da, ops::matmul_nt_reference(dz_want, b));
+  }
+}
+
+TEST(MicroKernel, EveryPanelClassAndTailMatchesOracles) {
+  // N covers the row-vectorized path (< 16), each panel width alone
+  // (16, 32, 64), each followed by a ragged remainder (the overlapping
+  // 16-wide panel) and the mixed 64 + 16 + tail and 64 + 64 + 32 + tail
+  // decompositions of the hidden-16 and hidden-32 DCGRU widths.  M
+  // covers tiles with spare rows for every MR and the 16-row narrow
+  // blocks; K = 0 covers empty chains.
+  std::uint64_t seed = 100;
+  for (std::int64_t n : {1, 2, 15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 90, 170}) {
+    for (std::int64_t m : {1, 5, 13, 97}) {
+      for (std::int64_t k : {0, 1, 16, 170}) {
+        expect_family_parity(m, k, n, seed);
+        seed += 10;
+      }
+    }
+  }
+}
+
+TEST(MicroKernel, WorkloadShapesMatchOracles) {
+  // The DCGRU projections of the benchmark workloads: 41 nodes, batch
+  // 64 at hidden 32 (K = 170; gates N = 64, candidate 32, readout 1)
+  // and batch 32 at hidden 16 (K = 90; gates 32, candidate 16), with
+  // their tn/nt backward shapes.  The tn backward of the N = 1 forward
+  // runs the row-vectorized path over more than one staged k-block.
+  expect_family_parity(2624, 170, 64, 7);
+  expect_family_parity(2624, 170, 32, 17);
+  expect_family_parity(2624, 170, 1, 27);
+  expect_family_parity(1312, 90, 32, 37);
+  expect_family_parity(1312, 90, 16, 47);
+}
+
+TEST(MicroKernel, EmptyInnerDimensionGivesPositiveZeros) {
+  // K = 0: every chain is its 0.0f start, so C is +0.0 bits, not -0.0,
+  // and the fused forward stores act(0 + bias).
+  for (std::int64_t n : {1, 17, 64}) {
+    SCOPED_TRACE("N=" + std::to_string(n));
+    const Tensor a = Tensor::empty({13, 0});
+    const Tensor b = Tensor::empty({0, n});
+    const Tensor zeros = Tensor::zeros({13, n});
+    expect_bits(ops::matmul(a, b), zeros);
+    expect_bits(ops::matmul_tn(Tensor::empty({0, 13}), b), zeros);
+    expect_bits(ops::matmul_nt(a, Tensor::empty({n, 0})), zeros);
+    const Tensor bias = randn({n}, 5);
+    Tensor want = ops::add_bias(zeros, bias);
+    ops::apply_act_(want, ops::Act::kTanh);
+    expect_bits(ops::matmul_bias_act(a, b, bias, ops::Act::kTanh), want);
   }
 }
 
@@ -331,6 +421,44 @@ TEST(FusedAutograd, MatmulBiasActGradsMatchReferenceComposition) {
     expect_bits(w1.grad(), w2.grad());
     expect_bits(b1.grad(), b2.grad());
   }
+}
+
+TEST(FusedAutograd, LhsWithoutGradientSkipsItsGemm) {
+  // A sequence's first gate projection multiplies data and the zero
+  // state, which take no gradient.  Its backward must give the lhs no
+  // gradient, keep w's and b's gradients bit-identical to a run whose
+  // lhs takes one, and never compute the lhs's [M, K] product: the
+  // sweep's peak stays below one tensor that large.
+  const std::int64_t m = 256, k = 64, n = 2;
+  const Tensor av = randn({m, k}, 87);
+  auto expect_skipped = [&](auto&& op) {
+    Variable a_data(av, /*requires_grad=*/false);
+    Variable a_leaf(av.clone(), /*requires_grad=*/true);
+    Variable w1 = leaf({k, n}, 88), b1 = leaf({n}, 89);
+    Variable w2 = leaf({k, n}, 88), b2 = leaf({n}, 89);
+    Variable loss = ag::sum_all(op(a_data, w1, b1));
+    ag::sum_all(op(a_leaf, w2, b2)).backward();
+    const std::size_t base = MemoryTracker::instance().current(kHostSpace);
+    {
+      ScopedPeakWatch watch(kHostSpace);
+      loss.backward();
+      EXPECT_LT(watch.peak_bytes() - base, static_cast<std::size_t>(m * k) * sizeof(float));
+    }
+    EXPECT_FALSE(a_data.impl()->grad.defined());
+    expect_bits(w1.grad(), w2.grad());
+    // b is an input of matmul_bias_act only.
+    if (b2.impl()->grad.defined()) expect_bits(b1.grad(), b2.grad());
+  };
+  for (ops::Act act : kActs) {
+    SCOPED_TRACE("matmul_bias_act act " + std::to_string(static_cast<int>(act)));
+    expect_skipped([act](const Variable& a, const Variable& w, const Variable& b) {
+      return ag::matmul_bias_act(a, w, b, act);
+    });
+  }
+  SCOPED_TRACE("matmul");
+  expect_skipped([](const Variable& a, const Variable& w, const Variable&) {
+    return ag::matmul(a, w);
+  });
 }
 
 TEST(FusedAutograd, GruChainGradsMatchReferenceComposition) {
