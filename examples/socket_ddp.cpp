@@ -29,6 +29,7 @@
 
 #include "core/pgt_i.h"
 #include "dist/transport_socket.h"
+#include "runtime/thread_pool.h"
 
 using namespace pgti;
 
@@ -92,6 +93,9 @@ bool read_exact(int fd, void* data, std::size_t bytes) {
 [[noreturn]] void rank_process(const core::DistConfig& cfg, int rank,
                                std::uint16_t port, int listen_fd,
                                int report_fd) {
+  // The parent's pool was forked without its worker threads: run every
+  // kernel inline and never touch the pool's copied mutex.
+  PoolShare pool_share(1);
   int code = 0;
   // Scope the transport so its destructor runs before _exit: the
   // destructor drains and joins the per-peer writer threads, which is

@@ -26,7 +26,9 @@
 #                  it the arena poisons recycled blocks between leases,
 #                  so stale reads of pooled memory fault instead of
 #                  silently reusing bits.  The thread build runs the
-#                  concurrency-heavy suites — dist_test,
+#                  concurrency-heavy suites — runtime_test (the
+#                  kernel pool's concurrent callers and per-thread
+#                  PoolShare caps), dist_test,
 #                  dist_determinism_test, dist_prefetch_test
 #                  (worker-announced staging, reader ranks under
 #                  concurrent traffic, PrefetchLoader abort/restart
@@ -56,6 +58,9 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" ${CTEST_ARGS:--
 
 echo
 echo "== multi-process smoke: socket transport (forked ranks, world=4) vs in-process =="
+# Forked ranks compute at a pool share of 1 (DESIGN.md §18), so the
+# world=1 cases also compare a width-1 process with a full-width
+# in-process rank, bit for bit.
 "${build_dir}/examples/socket_ddp" --smoke
 
 echo
@@ -120,8 +125,8 @@ sanitize="${PGTI_SANITIZE:-}"
 if [ -n "${sanitize}" ]; then
   case "${sanitize}" in
     thread)  san_dir="${build_dir}-tsan"
-             suites='^(dist_|epoch_engine|grad_overlap|kernel_fusion|arena|serve_)'
-             what="dist_* + epoch_engine + grad_overlap + kernel_fusion + arena + serve suites" ;;
+             suites='^(runtime_|dist_|epoch_engine|grad_overlap|kernel_fusion|arena|serve_)'
+             what="runtime + dist_* + epoch_engine + grad_overlap + kernel_fusion + arena + serve suites" ;;
     address) san_dir="${build_dir}-asan"
              suites='.'
              what="every tier-1 suite under ASan + UBSan" ;;

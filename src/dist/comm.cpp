@@ -3,6 +3,8 @@
 #include <thread>
 #include <utility>
 
+#include "runtime/thread_pool.h"
+
 namespace pgti::dist {
 
 void Communicator::allreduce(float* data, std::int64_t n, bool mean) {
@@ -117,10 +119,14 @@ void Cluster::run(const std::function<void(Communicator&)>& fn) {
     }
   };
 
+  // The ranks split the kernel pool: together they fork at most its
+  // threads (DESIGN.md §18).
+  const int share = PoolShare::per_rank(world_);
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(world_));
   for (int r = 0; r < world_; ++r) {
-    workers.emplace_back([this, r, &fn, &record_failure] {
+    workers.emplace_back([this, r, share, &fn, &record_failure] {
+      PoolShare pool_share(share);
       InProcessTransport endpoint(hub_, r);
       Communicator comm(endpoint, context_);
       try {

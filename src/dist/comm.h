@@ -171,7 +171,9 @@ class Cluster {
 
   /// Runs `fn(comm)` on every rank, joins all workers, and rethrows the
   /// first original worker exception (never a PeerFailureError when a
-  /// real error caused the unwind).
+  /// real error caused the unwind).  Each rank thread runs under a
+  /// PoolShare of PoolShare::per_rank(world), so the ranks split the
+  /// kernel pool instead of each forking to its full width.
   void run(const std::function<void(Communicator&)>& fn);
 
   int world() const noexcept { return world_; }

@@ -13,6 +13,8 @@
 #include <ctime>
 #include <utility>
 
+#include "runtime/thread_pool.h"
+
 namespace pgti::dist {
 namespace {
 
@@ -477,11 +479,14 @@ void SocketCluster::run(const std::function<void(Communicator&)>& fn) {
     }
   };
 
+  // Split the kernel pool as Cluster::run does.
+  const int share = PoolShare::per_rank(world_);
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(world_));
   for (int r = 0; r < world_; ++r) {
-    workers.emplace_back([this, r, listen_fd = listen_fd, port = port, &fn,
+    workers.emplace_back([this, r, share, listen_fd = listen_fd, port = port, &fn,
                           &record_failure] {
+      PoolShare pool_share(share);
       std::unique_ptr<SocketTransport> endpoint;
       try {
         SocketOptions opt;

@@ -129,7 +129,8 @@ class SocketCluster {
 
   /// Runs `fn(comm)` on every rank, joins all workers, and rethrows
   /// the first original worker exception (never a PeerFailureError
-  /// when a real error caused the unwind).
+  /// when a real error caused the unwind).  Ranks split the kernel pool
+  /// as in Cluster::run.
   void run(const std::function<void(Communicator&)>& fn);
 
   int world() const noexcept { return world_; }

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 
 namespace pgti {
 namespace {
+
+/// The calling thread's PoolShare cap (no scope open: no cap).
+thread_local int t_pool_share = std::numeric_limits<int>::max();
 
 /// Per-parallel_for completion state.  Each invocation owns one, so
 /// concurrent callers (e.g. DDP worker threads) never wait on each
@@ -70,7 +74,7 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
                               const std::function<void(std::int64_t, std::int64_t)>& fn) {
   if (begin >= end) return;
   const std::int64_t n = end - begin;
-  const int nthreads = size();
+  const int nthreads = std::min(size(), t_pool_share);
   if (nthreads == 1 || n == 1) {
     fn(begin, end);
     return;
@@ -100,8 +104,8 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
   }
 
   // Help drain the queue while waiting: execute ANY pending task (not
-  // just ours) so oversubscribed callers make progress instead of
-  // blocking on the two pool threads.
+  // just ours) so concurrent callers make progress instead of blocking
+  // on pool workers that are busy with other callers' chunks.
   for (;;) {
     if (inv.remaining.load(std::memory_order_acquire) == 0) break;
     TaskImpl task;
@@ -143,6 +147,16 @@ ThreadPool& ThreadPool::global() {
     return hw == 0 ? 2 : static_cast<int>(hw);
   }());
   return pool;
+}
+
+PoolShare::PoolShare(int threads) noexcept : prev_(t_pool_share) {
+  t_pool_share = std::max(1, threads);
+}
+
+PoolShare::~PoolShare() { t_pool_share = prev_; }
+
+int PoolShare::per_rank(int ranks) {
+  return std::max(1, ThreadPool::global().size() / std::max(1, ranks));
 }
 
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,

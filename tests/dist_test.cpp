@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <iterator>
+#include <mutex>
+#include <set>
+#include <thread>
 
 #include "autograd/ops.h"
 #include "data/dataset_spec.h"
@@ -13,7 +17,9 @@
 #include "dist/comm.h"
 #include "dist/ddp.h"
 #include "dist/dist_store.h"
+#include "dist/transport_socket.h"
 #include "runtime/memory_tracker.h"
+#include "runtime/thread_pool.h"
 #include "tensor/tensor_ops.h"
 
 namespace pgti::dist {
@@ -71,6 +77,50 @@ TEST(Cluster, MidTrainingDeathUnwindsCleanly) {
                  }
                }),
                std::runtime_error);
+}
+
+TEST(Cluster, RanksSplitThePool) {
+  // W ranks in one process split the kernel pool: each rank's loops
+  // fork at most max(1, P / W) ways, so together they use at most the
+  // pool's P threads, over either transport.
+  const int pool = ThreadPool::global().size();
+  constexpr std::int64_t kN = 4096;
+  for (int world : {1, 2, 4, 8}) {
+    const std::size_t share = static_cast<std::size_t>(std::max(1, pool / world));
+    std::vector<std::size_t> threads_used(static_cast<std::size_t>(world));
+    std::vector<int> indices_off(static_cast<std::size_t>(world));
+    auto rank_loop = [&](Communicator& comm) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(kN));
+      std::mutex mu;
+      std::set<std::thread::id> threads;
+      parallel_for(0, kN, 1, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
+        std::lock_guard<std::mutex> lk(mu);
+        threads.insert(std::this_thread::get_id());
+      });
+      const auto r = static_cast<std::size_t>(comm.rank());
+      threads_used[r] = threads.size();
+      indices_off[r] = static_cast<int>(std::count_if(
+          hits.begin(), hits.end(), [](const std::atomic<int>& h) { return h.load() != 1; }));
+    };
+    for (bool sockets : {false, true}) {
+      std::fill(threads_used.begin(), threads_used.end(), 0);
+      std::fill(indices_off.begin(), indices_off.end(), -1);
+      if (sockets) {
+        SocketCluster(world).run(rank_loop);
+      } else {
+        Cluster(world).run(rank_loop);
+      }
+      for (int r = 0; r < world; ++r) {
+        const auto i = static_cast<std::size_t>(r);
+        EXPECT_EQ(indices_off[i], 0)
+            << "world=" << world << " sockets=" << sockets << " rank=" << r;
+        EXPECT_GE(threads_used[i], 1u);
+        EXPECT_LE(threads_used[i], share)
+            << "world=" << world << " sockets=" << sockets << " rank=" << r;
+      }
+    }
+  }
 }
 
 class AllreduceWorlds : public ::testing::TestWithParam<int> {};

@@ -22,6 +22,7 @@
 #include "dist/comm.h"
 #include "dist/transport_inprocess.h"
 #include "dist/transport_socket.h"
+#include "runtime/thread_pool.h"
 
 namespace pgti::dist {
 namespace {
@@ -403,6 +404,38 @@ TEST(SocketTrainer, RunRankMatchesInProcessLossesBitForBit) {
       EXPECT_EQ(socket.comm.allreduce_count, inproc.comm.allreduce_count);
       EXPECT_EQ(socket.comm.allreduce_bytes, inproc.comm.allreduce_bytes);
       EXPECT_EQ(socket.comm.broadcast_bytes, inproc.comm.broadcast_bytes);
+    }
+  }
+}
+
+TEST(PoolShareTrainer, SplitPoolMatchesFullWidthLossesBitForBit) {
+  // DistTrainer::run gives each of W in-process ranks a share of the
+  // kernel pool (1 thread each at W = 4 on 4 threads); forking every
+  // rank's loops to the full pool width must not move a loss byte.
+  for (core::DistMode mode :
+       {core::DistMode::kDistributedIndex, core::DistMode::kGeneralizedIndex}) {
+    for (int depth : {0, 2}) {
+      const core::DistConfig cfg = socket_cfg(mode, /*world=*/4, depth);
+      const core::DistResult split = core::DistTrainer(cfg).run();
+      core::DistResult full;
+      Cluster(cfg.world).run([&](Communicator& comm) {
+        PoolShare full_width(ThreadPool::global().size());
+        core::DistResult r = core::DistTrainer(cfg).run_rank(comm);
+        if (comm.rank() == 0) full = std::move(r);
+      });
+      ASSERT_EQ(full.curve.size(), split.curve.size());
+      for (std::size_t e = 0; e < split.curve.size(); ++e) {
+        EXPECT_EQ(std::memcmp(&full.curve[e].train_mae, &split.curve[e].train_mae,
+                              sizeof(double)),
+                  0)
+            << "mode=" << static_cast<int>(mode) << " depth=" << depth
+            << " epoch=" << e;
+        EXPECT_EQ(std::memcmp(&full.curve[e].val_mae, &split.curve[e].val_mae,
+                              sizeof(double)),
+                  0)
+            << "mode=" << static_cast<int>(mode) << " depth=" << depth
+            << " epoch=" << e;
+      }
     }
   }
 }

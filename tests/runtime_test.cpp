@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -192,6 +195,92 @@ TEST(ThreadPool, ConcurrentCallersBothComplete) {
   a.join();
   b.join();
   EXPECT_EQ(total.load(), 1000);
+}
+
+/// One chunk a parallel_for call ran: its range and the thread that
+/// ran it.
+struct Chunk {
+  std::int64_t lo;
+  std::int64_t hi;
+  std::thread::id thread;
+};
+
+/// Runs parallel_for(0, n, 1, ...) and records every chunk it ran.
+std::vector<Chunk> record_chunks(std::int64_t n) {
+  std::mutex mu;
+  std::vector<Chunk> chunks;
+  parallel_for(0, n, 1, [&](std::int64_t lo, std::int64_t hi) {
+    std::lock_guard<std::mutex> lock(mu);
+    chunks.push_back(Chunk{lo, hi, std::this_thread::get_id()});
+  });
+  return chunks;
+}
+
+/// True when `chunks` cover [0, n) with every index exactly once.
+bool covers_once(const std::vector<Chunk>& chunks, std::int64_t n) {
+  std::vector<int> hits(static_cast<std::size_t>(n), 0);
+  for (const Chunk& c : chunks) {
+    for (std::int64_t i = c.lo; i < c.hi; ++i) hits[static_cast<std::size_t>(i)]++;
+  }
+  return std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; });
+}
+
+TEST(ThreadPool, ShareCapsChunksOnCallingThread) {
+  const int pool = ThreadPool::global().size();
+  const auto full = static_cast<std::size_t>(pool);
+  // A multiple of every width below, so a width-w loop runs w chunks.
+  const std::int64_t n = 64 * static_cast<std::int64_t>(pool);
+
+  {
+    // A share of 1 runs the whole range inline, in one call.
+    PoolShare share(1);
+    const std::vector<Chunk> chunks = record_chunks(1000);
+    ASSERT_EQ(chunks.size(), 1u);
+    EXPECT_EQ(chunks[0].lo, 0);
+    EXPECT_EQ(chunks[0].hi, 1000);
+    EXPECT_EQ(chunks[0].thread, std::this_thread::get_id());
+  }
+  {
+    PoolShare share(2);
+    const std::vector<Chunk> chunks = record_chunks(1000);
+    EXPECT_LE(chunks.size(), 2u);
+    EXPECT_TRUE(covers_once(chunks, 1000));
+  }
+  {
+    // Clamped to the pool: no more chunks than threads.
+    PoolShare share(pool + 5);
+    const std::vector<Chunk> chunks = record_chunks(n);
+    EXPECT_EQ(chunks.size(), full);
+    EXPECT_TRUE(covers_once(chunks, n));
+  }
+  {
+    // Nested scopes restore the outer cap on exit and on unwind.
+    PoolShare outer(2);
+    const std::size_t outer_chunks = std::min<std::size_t>(2, full);
+    {
+      PoolShare inner(1);
+      EXPECT_EQ(record_chunks(n).size(), 1u);
+    }
+    EXPECT_EQ(record_chunks(n).size(), outer_chunks);
+    try {
+      PoolShare inner(1);
+      throw std::runtime_error("unwind");
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(record_chunks(n).size(), outer_chunks);
+  }
+  // With every scope closed the calling thread has the whole pool again.
+  EXPECT_EQ(record_chunks(n).size(), full);
+  {
+    // A share is the opening thread's own: another thread's loops still
+    // fork to the pool's full width.
+    PoolShare share(1);
+    std::size_t other_chunks = 0;
+    std::thread other([&] { other_chunks = record_chunks(n).size(); });
+    other.join();
+    EXPECT_EQ(other_chunks, full);
+    EXPECT_EQ(record_chunks(n).size(), 1u);
+  }
 }
 
 // ---------------------------------------------------------------- rng
