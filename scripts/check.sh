@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate in one command: configure + build + ctest, with warnings
-# in src/dist/ promoted to errors (PGTI_WERROR), plus named stages: a
+# Tier-1 gate in one command: configure + build + ctest, with every
+# warning in every target (library, reference/, tests, benches,
+# examples) promoted to an error (PGTI_WERROR), plus named stages: a
 # multi-process smoke proving the socket transport reproduces
 # in-process losses byte for byte across forked rank processes, an
 # oracle gate proving libpgti.a carries no `_reference` kernel and no

@@ -33,39 +33,99 @@ bool uses_store(DistMode mode) {
   return mode == DistMode::kBaselineDdp || mode == DistMode::kBaselineDdpBatchShuffle;
 }
 
-/// Everything one rank needs that is independent of which rank it is.
-/// In-process, run() builds this once and all W threads share it; in a
-/// multi-process run every rank process rebuilds an identical copy
-/// deterministically from the config (same seed, same synthetic
-/// signal), which is why no shared memory is required.
-struct RankShared {
+/// One training job: the set-up every rank needs, whichever rank it
+/// is, and the results rank 0 writes.  In-process, run() builds one
+/// Job that all W rank threads share; in a multi-process run every
+/// rank process builds an identical copy deterministically from the
+/// config (same seed, same synthetic signal), which is why no shared
+/// memory is required.
+struct Job {
+  /// Builds the signal, resets the host peak, then builds the store
+  /// (the store-backed baselines, priced on `network`) or fits the
+  /// generalized-index scaler: peak_host_bytes counts from the reset.
+  Job(const DistConfig& config, const dist::NetworkModel& network);
+
+  /// Assembles the result from rank 0's writes and `context`'s ledger.
+  DistResult finish(const dist::CommContext& context);
+
   const DistConfig& cfg;
-  const data::DatasetSpec& spec;
-  const SensorNetwork& net;
-  const Tensor& raw;
-  const data::SplitRanges& splits;
-  dist::DistStore* store;  ///< null for the index strategies
-  const data::StandardScaler& global_scaler;
+  const SensorNetwork net;
+  const Tensor raw;
+  const data::SplitRanges splits;
+  std::optional<dist::DistStore> store;  ///< the store-backed baselines only
+  data::StandardScaler global_scaler;    ///< kGeneralizedIndex only
+  double shared_pre_seconds = 0.0;
+
+  // Written by rank 0.
+  std::vector<EpochMetrics> curve;
+  double local_pre_seconds = 0.0;
+  DistResult result;
 };
 
-/// Where one rank deposits results; rank 0 is the writer everywhere.
-struct RankSinks {
-  std::vector<EpochMetrics>* curve;
-  double* local_pre_seconds_rank0;
-  DistResult* result;
-};
+Job::Job(const DistConfig& config, const dist::NetworkModel& network)
+    : cfg(config),
+      net(data::network_for(config.spec)),
+      raw(data::generate_signal(config.spec, net, config.seed)),
+      splits(data::split_ranges(config.spec.num_snapshots())),
+      curve(static_cast<std::size_t>(config.epochs)) {
+  MemoryTracker::instance().reset_peak(kHostSpace);
+
+  // Shared pieces, built once (Dask would distribute them; memory-wise
+  // this favours the baseline, which the paper also observes at high
+  // worker counts).
+  WallTimer pre_timer;
+  if (uses_store(cfg.mode)) {
+    // The baseline's data plane is a real partitioned store: the
+    // materialized snapshots live in the store, each rank owns a
+    // contiguous shard, and remote batches move actual bytes through a
+    // bounded per-rank cache.  The store owns its cache defaults
+    // (store_cache_snapshots < 0 resolves inside it).  Whoever
+    // announces a batch stages it — with prefetch_depth > 0, each
+    // rank's PrefetchLoader worker — and the overlap split is
+    // classified when batches reach the consumer (the per-batch
+    // pipeline hook in rank_main), so only the exposed share of
+    // modeled fetch time is charged.
+    store.emplace(data::StandardDataset(raw, cfg.spec), cfg.world, network,
+                  cfg.store_cache_snapshots, cfg.store_cache_bytes);
+  } else if (cfg.mode == DistMode::kGeneralizedIndex) {
+    Tensor stage1 = data::add_time_feature(raw, cfg.spec, kHostSpace);
+    global_scaler = data::fit_scaler(stage1, cfg.spec);
+  }
+  shared_pre_seconds = pre_timer.seconds();
+}
+
+DistResult Job::finish(const dist::CommContext& context) {
+  result.world = cfg.world;
+  result.curve = std::move(curve);
+  result.preprocess_seconds = shared_pre_seconds + local_pre_seconds;
+  result.best_val_mae = 1e30;
+  result.train_wall_seconds = 0.0;
+  for (const EpochMetrics& em : result.curve) {
+    result.train_wall_seconds += em.wall_seconds;
+    if (em.val_mae > 0.0) result.best_val_mae = std::min(result.best_val_mae, em.val_mae);
+  }
+  result.peak_host_bytes = MemoryTracker::instance().peak(kHostSpace);
+  // Rank 0 records every collective of the job (comm.h: rank 0, or a
+  // broadcast's root, and every broadcast here is rooted at rank 0), so
+  // its context's ledger is the job-level view; in a multi-process run
+  // other ranks see zeros here, matching the "rank 0 writes"
+  // convention.
+  result.comm = context.stats();
+  result.modeled_allreduce_seconds =
+      context.modeled_seconds() - result.modeled_fetch_seconds;
+  return std::move(result);
+}
 
 /// The per-rank training body, transport-agnostic: everything flows
 /// through the Communicator — collectives, the NetworkModel, and
 /// modeled-time charging (comm.charge_seconds hits the shared
 /// CommContext, the same clock Cluster::charge_seconds feeds).
-void rank_main(dist::Communicator& comm, const RankShared& sh,
-               const RankSinks& out) {
-  const DistConfig& cfg = sh.cfg;
-  const data::DatasetSpec& spec = sh.spec;
-  const data::SplitRanges& splits = sh.splits;
-  const Tensor& raw = sh.raw;
-  dist::DistStore* store = sh.store;
+void rank_main(dist::Communicator& comm, Job& job) {
+  const DistConfig& cfg = job.cfg;
+  const data::DatasetSpec& spec = cfg.spec;
+  const data::SplitRanges& splits = job.splits;
+  const Tensor& raw = job.raw;
+  dist::DistStore* store = job.store ? &*job.store : nullptr;
   const int rank = comm.rank();
   const int world = comm.world();
 
@@ -113,7 +173,7 @@ void rank_main(dist::Communicator& comm, const RankShared& sh,
       const std::int64_t entry_len =
           std::min(spec.entries, train_hi - 1 + 2 * spec.horizon) - entry_lo;
       part_train.emplace(raw.slice(0, entry_lo, entry_len).clone(), spec, entry_lo,
-                         sh.global_scaler, train_lo, train_hi);
+                         job.global_scaler, train_lo, train_hi);
       // Validation shard.
       const std::int64_t n_val = splits.val_end - splits.val_begin;
       const std::int64_t vchunk = (n_val + world - 1) / world;
@@ -124,7 +184,7 @@ void rank_main(dist::Communicator& comm, const RankShared& sh,
           std::min(spec.entries, val_hi - 1 + 2 * spec.horizon) - ventry_lo;
       part_val.emplace(raw.slice(0, ventry_lo, std::max<std::int64_t>(ventry_len, 0))
                            .clone(),
-                       spec, ventry_lo, sh.global_scaler, val_lo, val_hi);
+                       spec, ventry_lo, job.global_scaler, val_lo, val_hi);
       train_index_provider.emplace(*part_train);
       val_index_provider.emplace(*part_val);
       train_provider = &*train_index_provider;
@@ -145,14 +205,14 @@ void rank_main(dist::Communicator& comm, const RankShared& sh,
   }
   data::RankSource train_source(*train_provider, rank);
   data::RankSource val_source(*val_provider, rank);
-  if (rank == 0) *out.local_pre_seconds_rank0 = local_pre.seconds();
+  if (rank == 0) job.local_pre_seconds = local_pre.seconds();
 
   // ---- model replica -------------------------------------------------
-  ModelBundle bundle = make_model(cfg.model, spec, sh.net, cfg.hidden_dim,
+  ModelBundle bundle = make_model(cfg.model, spec, job.net, cfg.hidden_dim,
                                   cfg.diffusion_steps, /*num_layers=*/2, cfg.seed);
   std::vector<Variable> params = bundle.model->parameters();
   dist::broadcast_parameters(comm, params, /*root=*/0);
-  if (rank == 0) out.result->model_parameters = bundle.model->parameter_count();
+  if (rank == 0) job.result.model_parameters = bundle.model->parameter_count();
   optim::Adam::Options adam_opt;
   adam_opt.lr = cfg.lr;
   optim::Adam opt(params, adam_opt);
@@ -270,7 +330,7 @@ void rank_main(dist::Communicator& comm, const RankShared& sh,
       em.train_mae = g_train_cnt > 0 ? g_train_sum / g_train_cnt * sigma : 0.0;
       em.val_mae = g_val_cnt > 0 ? g_val_sum / g_val_cnt * sigma : 0.0;
       em.wall_seconds = epoch_timer.seconds();
-      (*out.curve)[static_cast<std::size_t>(epoch)] = em;
+      job.curve[static_cast<std::size_t>(epoch)] = em;
     }
   }
   // Close out the gradient plane: any completed-but-unapplied stale
@@ -279,12 +339,12 @@ void rank_main(dist::Communicator& comm, const RankShared& sh,
   if (obucket) obucket->finish();
   if (rank == 0) {
     if (obucket) {
-      out.result->grad_sync_overlapped_seconds = obucket->overlapped_seconds();
-      out.result->grad_sync_exposed_seconds = obucket->exposed_seconds();
+      job.result.grad_sync_overlapped_seconds = obucket->overlapped_seconds();
+      job.result.grad_sync_exposed_seconds = obucket->exposed_seconds();
     } else {
-      out.result->grad_sync_exposed_seconds = serial_sync_seconds;
+      job.result.grad_sync_exposed_seconds = serial_sync_seconds;
     }
-    out.result->allocs_last_step = engine.allocs_last_step();
+    job.result.allocs_last_step = engine.allocs_last_step();
   }
   comm.barrier();
 }
@@ -292,95 +352,36 @@ void rank_main(dist::Communicator& comm, const RankShared& sh,
 }  // namespace
 
 DistResult DistTrainer::run() {
-  DistResult result;
-  result.world = cfg_.world;
-  auto& tracker = MemoryTracker::instance();
-
-  const data::DatasetSpec& spec = cfg_.spec;
-  SensorNetwork net = data::network_for(spec);
-  Tensor raw = data::generate_signal(spec, net, cfg_.seed);
-
-  tracker.reset_peak(kHostSpace);
-
   dist::Cluster cluster(cfg_.world);
-  const std::int64_t s = spec.num_snapshots();
-  const data::SplitRanges splits = data::split_ranges(s);
-
-  // Shared pieces, built once (Dask would distribute them; memory-wise
-  // this favours the baseline, which the paper also observes at high
-  // worker counts).
-  WallTimer pre_timer;
-  std::optional<dist::DistStore> store;
-  data::StandardScaler global_scaler;
-  if (uses_store(cfg_.mode)) {
-    // The baseline's data plane is a real partitioned store: the
-    // materialized snapshots live in the store, each rank owns a
-    // contiguous shard, and remote batches move actual bytes through a
-    // bounded per-rank cache.  The store owns its cache defaults
-    // (store_cache_snapshots < 0 resolves inside it).  Whoever
-    // announces a batch stages it — with prefetch_depth > 0, each
-    // rank's PrefetchLoader worker — and the overlap split is
-    // classified when batches reach the consumer (the per-batch
-    // pipeline hook in rank_main), so only the exposed share of
-    // modeled fetch time is charged.
-    store.emplace(data::StandardDataset(raw, spec), cfg_.world, cluster.network(),
-                  cfg_.store_cache_snapshots, cfg_.store_cache_bytes);
-  } else if (cfg_.mode == DistMode::kGeneralizedIndex) {
-    Tensor stage1 = data::add_time_feature(raw, spec, kHostSpace);
-    global_scaler = data::fit_scaler(stage1, spec);
-  }
-  const double shared_pre_seconds = pre_timer.seconds();
-
-  // Per-epoch aggregates written by rank 0.
-  std::vector<EpochMetrics> curve(static_cast<std::size_t>(cfg_.epochs));
-  double local_pre_seconds_rank0 = 0.0;
-
-  const RankShared shared{cfg_,    spec,
-                          net,     raw,
-                          splits,  store ? &*store : nullptr,
-                          global_scaler};
-  const RankSinks sinks{&curve, &local_pre_seconds_rank0, &result};
-  cluster.run([&](dist::Communicator& comm) { rank_main(comm, shared, sinks); });
-
-  result.curve = std::move(curve);
-  result.preprocess_seconds = shared_pre_seconds + local_pre_seconds_rank0;
-  result.best_val_mae = 1e30;
-  result.train_wall_seconds = 0.0;
-  for (const EpochMetrics& em : result.curve) {
-    result.train_wall_seconds += em.wall_seconds;
-    if (em.val_mae > 0.0) result.best_val_mae = std::min(result.best_val_mae, em.val_mae);
-  }
-  result.peak_host_bytes = tracker.peak(kHostSpace);
-  result.comm = cluster.stats();
-  if (store) {
+  Job job(cfg_, cluster.network());
+  cluster.run([&](dist::Communicator& comm) { rank_main(comm, job); });
+  if (job.store) {
+    dist::DistStore& store = *job.store;
     // Close out the prefetch pipeline: lookahead may have announced
     // batches a truncated epoch never consumed (fully overlapped by
     // definition — nobody waited), and classification since the last
     // in-loop drain still owes the cluster its exposed share.
     for (int r = 0; r < cfg_.world; ++r) {
-      store->abandon_prefetches(r);
-      cluster.charge_seconds(store->drain_modeled_seconds(r));
+      store.abandon_prefetches(r);
+      cluster.charge_seconds(store.drain_modeled_seconds(r));
     }
-    result.store = store->stats();
-    result.modeled_fetch_seconds = result.store.exposed_seconds;
-    // The fetch ledger is now backed by real movement: every modeled
+    const dist::StoreStats stats = store.stats();
+    // The fetch ledger is backed by real movement: every modeled
     // remote byte must have been physically copied or absorbed by the
     // bounded per-rank cache.  A mismatch means the model and the
     // byte-moving store disagree — fail loudly rather than report
     // fiction.
-    if (result.store.remote_bytes !=
-        result.store.bytes_copied + result.store.cache_hit_bytes) {
+    if (stats.remote_bytes != stats.bytes_copied + stats.cache_hit_bytes) {
       throw std::logic_error(
           "DistTrainer: DistStore modeled remote bytes (" +
-          std::to_string(result.store.remote_bytes) +
-          ") != bytes physically copied (" +
-          std::to_string(result.store.bytes_copied) + ") + cache-absorbed (" +
-          std::to_string(result.store.cache_hit_bytes) + ")");
+          std::to_string(stats.remote_bytes) + ") != bytes physically copied (" +
+          std::to_string(stats.bytes_copied) + ") + cache-absorbed (" +
+          std::to_string(stats.cache_hit_bytes) + ")");
     }
+    job.result.store = stats;
+    job.result.modeled_fetch_seconds = stats.exposed_seconds;
   }
-  result.modeled_allreduce_seconds =
-      cluster.modeled_comm_seconds() - result.modeled_fetch_seconds;
-  return result;
+  return job.finish(cluster.context());
 }
 
 DistResult DistTrainer::run_rank(dist::Communicator& comm) {
@@ -395,51 +396,9 @@ DistResult DistTrainer::run_rank(dist::Communicator& comm) {
     throw std::invalid_argument(
         "DistTrainer::run_rank: comm.world() != config world");
   }
-
-  DistResult result;
-  result.world = cfg_.world;
-  auto& tracker = MemoryTracker::instance();
-
-  // Deterministic rebuild: same spec + seed => bit-identical raw
-  // signal, splits, and scaler in every rank process.
-  const data::DatasetSpec& spec = cfg_.spec;
-  SensorNetwork net = data::network_for(spec);
-  Tensor raw = data::generate_signal(spec, net, cfg_.seed);
-
-  tracker.reset_peak(kHostSpace);
-
-  const data::SplitRanges splits = data::split_ranges(spec.num_snapshots());
-
-  WallTimer pre_timer;
-  data::StandardScaler global_scaler;
-  if (cfg_.mode == DistMode::kGeneralizedIndex) {
-    Tensor stage1 = data::add_time_feature(raw, spec, kHostSpace);
-    global_scaler = data::fit_scaler(stage1, spec);
-  }
-  const double shared_pre_seconds = pre_timer.seconds();
-
-  std::vector<EpochMetrics> curve(static_cast<std::size_t>(cfg_.epochs));
-  double local_pre_seconds_rank0 = 0.0;
-
-  const RankShared shared{cfg_, spec, net, raw, splits, nullptr, global_scaler};
-  const RankSinks sinks{&curve, &local_pre_seconds_rank0, &result};
-  rank_main(comm, shared, sinks);
-
-  result.curve = std::move(curve);
-  result.preprocess_seconds = shared_pre_seconds + local_pre_seconds_rank0;
-  result.best_val_mae = 1e30;
-  result.train_wall_seconds = 0.0;
-  for (const EpochMetrics& em : result.curve) {
-    result.train_wall_seconds += em.wall_seconds;
-    if (em.val_mae > 0.0) result.best_val_mae = std::min(result.best_val_mae, em.val_mae);
-  }
-  result.peak_host_bytes = tracker.peak(kHostSpace);
-  // Rank 0 charges all collective stats/modeled time (comm.h), so its
-  // context's ledger is the job-level view a DistResult reports; other
-  // ranks see zeros here, matching the "rank 0 writes" convention.
-  result.comm = comm.context().stats();
-  result.modeled_allreduce_seconds = comm.context().modeled_seconds();
-  return result;
+  Job job(cfg_, comm.network());
+  rank_main(comm, job);
+  return job.finish(comm.context());
 }
 
 }  // namespace pgti::core

@@ -50,7 +50,6 @@ void EpochEngine::account_staging(const data::Batch& batch, bool prefetched) {
                               .count();
     exposed = std::max(0.0, batch.modeled_staging_seconds - window);
   }
-  pcie_exposed_ += exposed;
   pcie_overlapped_ += batch.modeled_staging_seconds - exposed;
 }
 

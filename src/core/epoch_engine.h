@@ -122,8 +122,6 @@ class EpochEngine {
   /// Modeled PCIe staging seconds hidden behind compute by prefetched
   /// pipelines so far (0 when every pipeline ran at depth 0).
   double overlapped_transfer_seconds() const noexcept { return pcie_overlapped_; }
-  /// The exposed remainder of the modeled staging seconds observed.
-  double exposed_transfer_seconds() const noexcept { return pcie_exposed_; }
 
   /// Tracker-charged heap allocations during the most recent train
   /// step (batch delivery + forward + backward + sync + step).  With
@@ -133,10 +131,6 @@ class EpochEngine {
   /// report their staging traffic here too.
   std::uint64_t allocs_last_step() const noexcept { return allocs_last_step_; }
 
-  /// Pool demand recorded by this engine's arena (planning high-water,
-  /// pool hits, reserved bytes).
-  runtime::ArenaStats arena_stats() const { return arena_.stats(); }
-
  private:
   void account_staging(const data::Batch& batch, bool prefetched);
 
@@ -144,7 +138,6 @@ class EpochEngine {
   optim::Adam* opt_;
   Hooks hooks_;
   double pcie_overlapped_ = 0.0;
-  double pcie_exposed_ = 0.0;
   // One arena per engine (per rank, for distributed runs): every
   // train/eval step opens an ArenaScope on it, so the first step plans
   // bucket demand and later steps replay against the pool.

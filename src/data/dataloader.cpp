@@ -80,6 +80,10 @@ DataLoader::DataLoader(const SnapshotSource& source, const LoaderOptions& option
   if (options.batch_size < 1) {
     throw std::invalid_argument("DataLoader: batch_size must be >= 1");
   }
+  const SamplerOptions& s = options.sampler;
+  if (s.world < 1 || s.rank < 0 || s.rank >= s.world) {
+    throw std::invalid_argument("DataLoader: sampler needs 0 <= rank < world");
+  }
 }
 
 void DataLoader::start_epoch(int epoch) {

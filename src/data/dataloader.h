@@ -188,7 +188,6 @@ class DataLoader {
   std::int64_t samples_per_epoch() const;
 
  private:
-  void ensure_buffers(MemorySpaceId space, Tensor& x, Tensor& y) const;
   /// Fills `out` with the snapshot ids of the batch starting at the
   /// cursor in this epoch's order (empty at epoch end, past the
   /// max-batches cap, or for a short tail under drop_last).

@@ -67,9 +67,6 @@ class IndexDataset {
                std::int64_t entry_begin, const StandardScaler& scaler,
                std::int64_t snapshot_begin, std::int64_t snapshot_end);
 
-  /// First raw entry held by this (possibly partitioned) dataset.
-  std::int64_t entry_offset() const noexcept { return entry_offset_; }
-
  private:
   void init_from_stage1(Tensor stage1, const DatasetSpec& spec);
   void track_index_array();

@@ -1,5 +1,7 @@
 #include "dist/comm.h"
 
+#include <exception>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -7,19 +9,27 @@
 
 namespace pgti::dist {
 
+void Communicator::record(int recorder, std::uint64_t CommStats::*count,
+                          std::uint64_t CommStats::*bytes, std::uint64_t traffic,
+                          std::optional<std::int64_t> modeled_payload) {
+  if (rank() != recorder) return;
+  {
+    std::lock_guard<std::mutex> lk(context_->mu_);
+    ++(context_->stats_.*count);
+    context_->stats_.*bytes += traffic;
+  }
+  if (modeled_payload) {
+    context_->sim_clock_.add(
+        context_->network_.allreduce_seconds(*modeled_payload, world()));
+  }
+}
+
 void Communicator::allreduce(float* data, std::int64_t n, bool mean) {
   alg::tree_allreduce(*transport_, data, n, mean, scratch_);
-  if (rank() == 0) {
-    {
-      std::lock_guard<std::mutex> lk(context_->mu_);
-      ++context_->stats_.allreduce_count;
-      context_->stats_.allreduce_bytes +=
-          static_cast<std::uint64_t>(n) * sizeof(float) *
-          static_cast<std::uint64_t>(world());
-    }
-    context_->sim_clock_.add(context_->network_.allreduce_seconds(
-        n * static_cast<std::int64_t>(sizeof(float)), world()));
-  }
+  const std::uint64_t payload = static_cast<std::uint64_t>(n) * sizeof(float);
+  record(0, &CommStats::allreduce_count, &CommStats::allreduce_bytes,
+         payload * static_cast<std::uint64_t>(world()),
+         n * static_cast<std::int64_t>(sizeof(float)));
 }
 
 void Communicator::allreduce_sum(float* data, std::int64_t n) {
@@ -32,82 +42,58 @@ void Communicator::allreduce_mean(float* data, std::int64_t n) {
 
 double Communicator::allreduce_scalar_sum(double value) {
   const double result = alg::scalar_sum(*transport_, value);
-  if (rank() == 0) {
-    {
-      std::lock_guard<std::mutex> lk(context_->mu_);
-      ++context_->stats_.allreduce_count;
-      context_->stats_.allreduce_bytes +=
-          static_cast<std::uint64_t>(world()) * sizeof(double);
-    }
-    context_->sim_clock_.add(
-        context_->network_.allreduce_seconds(sizeof(double), world()));
-  }
+  record(0, &CommStats::allreduce_count, &CommStats::allreduce_bytes,
+         static_cast<std::uint64_t>(world()) * sizeof(double), sizeof(double));
   return result;
 }
 
 std::vector<double> Communicator::allgather(double value) {
   std::vector<double> result = alg::allgather_scalar(*transport_, value);
-  if (rank() == 0) {
-    {
-      std::lock_guard<std::mutex> lk(context_->mu_);
-      ++context_->stats_.allgather_count;
-      context_->stats_.allgather_bytes +=
-          static_cast<std::uint64_t>(sizeof(double)) *
-          static_cast<std::uint64_t>(world()) *
-          static_cast<std::uint64_t>(world() - 1);
-    }
-    context_->sim_clock_.add(
-        context_->network_.allreduce_seconds(sizeof(double), world()));
-  }
+  record(0, &CommStats::allgather_count, &CommStats::allgather_bytes,
+         static_cast<std::uint64_t>(sizeof(double)) *
+             static_cast<std::uint64_t>(world()) *
+             static_cast<std::uint64_t>(world() - 1),
+         sizeof(double));
   return result;
 }
 
 void Communicator::broadcast(float* data, std::int64_t n, int root) {
   alg::tree_broadcast(*transport_, data, n, root);
-  if (rank() == root) {
-    {
-      std::lock_guard<std::mutex> lk(context_->mu_);
-      ++context_->stats_.broadcast_count;
-      context_->stats_.broadcast_bytes +=
-          static_cast<std::uint64_t>(n) * sizeof(float) *
-          static_cast<std::uint64_t>(world() - 1);
-    }
-    context_->sim_clock_.add(context_->network_.allreduce_seconds(
-        n * static_cast<std::int64_t>(sizeof(float)), world()));
-  }
+  record(root, &CommStats::broadcast_count, &CommStats::broadcast_bytes,
+         static_cast<std::uint64_t>(n) * sizeof(float) *
+             static_cast<std::uint64_t>(world() - 1),
+         n * static_cast<std::int64_t>(sizeof(float)));
 }
 
 void Communicator::barrier() {
   alg::barrier(*transport_);
-  if (rank() == 0) {
-    std::lock_guard<std::mutex> lk(context_->mu_);
-    ++context_->stats_.barrier_count;
-    context_->stats_.barrier_bytes +=
-        2u * static_cast<std::uint64_t>(world() - 1) * frame::kHeaderBytes;
-  }
+  record(0, &CommStats::barrier_count, &CommStats::barrier_bytes,
+         2u * static_cast<std::uint64_t>(world() - 1) * frame::kHeaderBytes,
+         std::nullopt);
 }
 
-Cluster::Cluster(int world, NetworkModel network)
-    : world_(world), context_(network), hub_(world) {
-  if (world < 1) throw std::invalid_argument("Cluster: world must be >= 1");
+RankHarness::RankHarness(int world, NetworkModel network)
+    : world_(world), context_(network) {
+  if (world < 1) throw std::invalid_argument("cluster: world must be >= 1");
 }
 
-void Cluster::inject_fault_at_sync_point(int rank, std::uint64_t nth,
-                                         std::string message) {
+void RankHarness::inject_fault_at_sync_point(int rank, std::uint64_t nth,
+                                             std::string message) {
   if (rank < 0 || rank >= world_) {
     throw std::invalid_argument("inject_fault_at_sync_point: bad rank");
   }
-  hub_.arm_fault(rank, nth, std::move(message));
+  fault_ = PendingFault{rank, nth, std::move(message)};
 }
 
-void Cluster::run(const std::function<void(Communicator&)>& fn) {
-  hub_.reset_for_run();
+void RankHarness::run_ranks(const EndpointFactory& make_endpoint,
+                            const std::function<void(Communicator&)>& fn) {
   // Modeled time is per-run; traffic stats accumulate across runs.
   context_.reset_clock();
 
   // Error collection lives in the harness, not the transport: the
-  // first non-peer-failure error wins, and the hub's failure flag is
-  // raised (releasing blocked peers) only after the error is recorded.
+  // first non-peer-failure error wins, and a failing rank's endpoint
+  // is shut down (releasing blocked peers) only after its error is
+  // recorded.
   std::mutex err_mu;
   std::exception_ptr first_error;
   bool first_error_is_peer_failure = false;
@@ -125,31 +111,44 @@ void Cluster::run(const std::function<void(Communicator&)>& fn) {
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(world_));
   for (int r = 0; r < world_; ++r) {
-    workers.emplace_back([this, r, share, &fn, &record_failure] {
+    workers.emplace_back([this, r, share, &make_endpoint, &fn, &record_failure] {
       PoolShare pool_share(share);
-      InProcessTransport endpoint(hub_, r);
-      Communicator comm(endpoint, context_);
+      std::unique_ptr<Transport> endpoint;
       try {
+        endpoint = make_endpoint(r);
+        if (fault_ && fault_->rank == r) {
+          endpoint->inject_fault_at_sync_point(fault_->nth, fault_->message);
+        }
+        Communicator comm(*endpoint, context_);
         fn(comm);
       } catch (const PeerFailureError&) {
         // Secondary casualty: keep unwinding, but never let it mask the
         // peer's original error.
         record_failure(std::current_exception(), /*is_peer_failure=*/true);
-        endpoint.shutdown();
+        if (endpoint) endpoint->shutdown();
       } catch (...) {
         record_failure(std::current_exception(), /*is_peer_failure=*/false);
-        endpoint.shutdown();
+        if (endpoint) endpoint->shutdown();
       }
     });
   }
   for (std::thread& t : workers) t.join();
 
-  // Injected faults are one-shot: disarm so a reused Cluster's next
-  // run() (a supported pattern, e.g. a recovery pass after a
-  // fault-injection pass) does not deterministically re-throw.
-  hub_.arm_fault(-1, 0, std::string());
+  // Injected faults are one-shot: a reused cluster's next run() (a
+  // supported pattern, e.g. a recovery pass after a fault-injection
+  // pass) does not re-throw.
+  fault_.reset();
 
   if (first_error) std::rethrow_exception(first_error);
+}
+
+Cluster::Cluster(int world, NetworkModel network)
+    : RankHarness(world, network), hub_(world) {}
+
+void Cluster::run(const std::function<void(Communicator&)>& fn) {
+  hub_.reset_for_run();
+  run_ranks([this](int r) { return std::make_unique<InProcessTransport>(hub_, r); },
+            fn);
 }
 
 }  // namespace pgti::dist

@@ -22,7 +22,10 @@
 // any worker throws, peers blocked in a collective are released with
 // PeerFailureError instead of deadlocking — at EVERY tree stage, since
 // each stage ends in a sync point — the cluster unwinds, and run()
-// rethrows the ORIGINAL worker exception.
+// rethrows the ORIGINAL worker exception.  One rank loop
+// (RankHarness::run_ranks) implements this for both thread harnesses,
+// Cluster (mailbox endpoints) and SocketCluster (loopback TCP
+// endpoints).
 //
 // Wall-clock is measured; network time is *modeled*: each collective
 // charges its ring-all-reduce cost (NetworkModel) to a SimClock, so
@@ -33,10 +36,10 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <stdexcept>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,8 +76,9 @@ struct CommStats {
 /// cluster: the NetworkModel, the modeled-time SimClock, and the
 /// traffic stats.  In-process, one CommContext is shared by all W
 /// ranks; in multi-process socket runs each rank process owns its own
-/// (rank 0's is the one a DistResult reports, and since stats are
-/// charged by rank 0 only, the view is identical).
+/// (rank 0's is the one a DistResult reports, and since every
+/// collective is recorded by one rank — rank 0, or a broadcast's
+/// root — the view is identical).
 ///
 /// Thread-safety: stats_ is guarded by mu_; sim_clock is a lock-free
 /// atomic accumulator (runtime/timer.h), so charge_seconds is safe
@@ -155,62 +159,42 @@ class Communicator {
  private:
   void allreduce(float* data, std::int64_t n, bool mean);
 
+  /// The one ledger write of a collective, made only on rank `recorder`
+  /// (rank 0, or a broadcast's root) so the shared context counts each
+  /// collective once: bumps `count`, adds `traffic` to `bytes`, and
+  /// charges the modeled time of an all-reduce of `modeled_payload`
+  /// bytes (a barrier moves no payload and charges none).
+  void record(int recorder, std::uint64_t CommStats::*count,
+              std::uint64_t CommStats::*bytes, std::uint64_t traffic,
+              std::optional<std::int64_t> modeled_payload);
+
   Transport* transport_;
   CommContext* context_;
   alg::AllreduceScratch scratch_;
 };
 
-/// W thread-backed workers sharing one address space — the test- and
-/// bench-scale stand-in for a multi-GPU job, now one InProcessTransport
-/// endpoint per rank over a shared mailbox hub.  Reusable: each run()
-/// resets failure state and the modeled-time clock; traffic stats
-/// accumulate across runs.
-class Cluster {
+/// What both thread harnesses share: W rank threads in this process,
+/// one CommContext behind all their Communicators, the fault armed for
+/// the next run, and the one rank loop.  Cluster runs it over mailbox
+/// endpoints, SocketCluster over loopback TCP endpoints.  Reusable:
+/// each run resets the modeled-time clock; traffic stats accumulate
+/// across runs.
+class RankHarness {
  public:
-  explicit Cluster(int world, NetworkModel network = NetworkModel{});
-
-  /// Runs `fn(comm)` on every rank, joins all workers, and rethrows the
-  /// first original worker exception (never a PeerFailureError when a
-  /// real error caused the unwind).  Each rank thread runs under a
-  /// PoolShare of PoolShare::per_rank(world), so the ranks split the
-  /// kernel pool instead of each forking to its full width.
-  void run(const std::function<void(Communicator&)>& fn);
-
   int world() const noexcept { return world_; }
   const NetworkModel& network() const noexcept { return context_.network(); }
 
-  /// Reduce-stage count (tree depth) of one all-reduce at `world`
-  /// ranks: ceil(log2(world)), and 1 for a single rank (the copy
-  /// stage).  Stage s accumulates source ranks [2^s, 2^(s+1)).
-  static int allreduce_stages(int world) noexcept {
-    return alg::allreduce_stages(world);
-  }
-
-  /// Internal sync points one all-reduce passes through (collective
-  /// entry + input exchange + one per tree stage + final gather).
-  /// Peers must be releasable by PeerFailureError at every one of
-  /// them; tests/dist_determinism_test.cpp sweeps them all.
-  static int allreduce_sync_points(int world) noexcept {
-    return alg::allreduce_sync_points(world);
-  }
-
-  /// Internal sync points one broadcast passes through (payload
-  /// staging + one per delivery stage); the tree mirrors
-  /// allreduce_stages(world).  tests/dist_test.cpp sweeps them all.
-  static int broadcast_sync_points(int world) noexcept {
-    return alg::broadcast_sync_points(world);
-  }
-
   /// Deterministic fault injection for failure-semantics tests: worker
   /// `rank` throws std::runtime_error(message) upon entering its `nth`
-  /// sync point (0-based, counted per rank and reset by run()).  Lets
-  /// a test park peers at any internal tree stage of a collective.
-  /// One-shot: the injection arms the NEXT run() only; run() disarms
-  /// it on completion so a reused Cluster can recover.
-  /// Collective inputs are staged out of caller buffers before any
-  /// stage runs (transport send-copies + algorithm scratch), so a rank
-  /// unwinding mid-collective can never invalidate memory a surviving
-  /// peer still reads.
+  /// sync point (0-based, counted by that rank's endpoint, which every
+  /// run builds afresh).  Lets a test park peers at any internal tree
+  /// stage of a collective.  One-shot: the injection arms the NEXT
+  /// run() only; run() disarms it on completion so a reused cluster
+  /// can recover, and arming it again fails the next run at the same
+  /// sync point.  Collective inputs are staged out of caller buffers
+  /// before any stage runs (transport send-copies + algorithm
+  /// scratch), so a rank unwinding mid-collective can never invalidate
+  /// memory a surviving peer still reads.
   void inject_fault_at_sync_point(int rank, std::uint64_t nth, std::string message);
 
   /// Collective-traffic totals so far.
@@ -230,9 +214,47 @@ class Cluster {
   /// their own Communicators over other transports).
   CommContext& context() noexcept { return context_; }
 
+ protected:
+  RankHarness(int world, NetworkModel network);
+
+  /// Builds rank `rank`'s endpoint, on that rank's thread.
+  using EndpointFactory = std::function<std::unique_ptr<Transport>(int rank)>;
+
+  /// The rank loop: resets the run's modeled clock, runs `fn(comm)` on
+  /// W rank threads, each under a PoolShare of PoolShare::per_rank(W)
+  /// so the ranks split the kernel pool instead of each forking to its
+  /// full width, joins them, disarms the injected fault, and rethrows
+  /// the first original worker exception (never a PeerFailureError
+  /// when a real error caused the unwind).  A rank that throws shuts
+  /// its endpoint down, releasing every peer blocked on it.
+  void run_ranks(const EndpointFactory& make_endpoint,
+                 const std::function<void(Communicator&)>& fn);
+
  private:
+  struct PendingFault {
+    int rank;
+    std::uint64_t nth;
+    std::string message;
+  };
+
   int world_;
   CommContext context_;
+  std::optional<PendingFault> fault_;
+};
+
+/// W thread-backed workers sharing one address space — the test- and
+/// bench-scale stand-in for a multi-GPU job: one InProcessTransport
+/// endpoint per rank over a shared mailbox hub.
+class Cluster : public RankHarness {
+ public:
+  explicit Cluster(int world, NetworkModel network = NetworkModel{});
+
+  /// Runs `fn(comm)` on every rank through the rank loop (see
+  /// RankHarness::run_ranks) after clearing the hub's mailboxes and
+  /// failure state.
+  void run(const std::function<void(Communicator&)>& fn);
+
+ private:
   InProcessHub hub_;
 };
 

@@ -53,8 +53,6 @@ class GradBucket {
   std::size_t bucket_count() const noexcept { return buckets_.size(); }
   /// The bucket partition, in reduction order.
   const std::vector<Bucket>& buckets() const noexcept { return buckets_; }
-  /// Largest single bucket, in elements (flat staging buffer size).
-  std::int64_t max_bucket_numel() const noexcept { return max_bucket_numel_; }
 
   /// Throws if `params` no longer matches the construction-time layout.
   void verify_layout(const std::vector<Variable>& params) const;

@@ -20,8 +20,8 @@
 // mutex; the main thread never enters a collective of its own without
 // first passing a drain point (drain()/flush()) that waits for comm-
 // thread quiescence through the same mutex.  The mutex chain also
-// gives TSan the happens-before edges for the Cluster's per-rank
-// bookkeeping (sync_seen_).
+// gives TSan the happens-before edges for the endpoint's sync counter
+// (Transport::sync).
 //
 // Modes:
 //   kStrict — drain() at step k waits for step k's buckets and applies

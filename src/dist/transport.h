@@ -13,8 +13,8 @@
 //  * One collective thread per rank.  A rank's send/recv/sync calls
 //    are issued by exactly one thread at a time; when a comm thread
 //    takes over (OverlappedGradBucket), the handoff is ordered by the
-//    bucket's drain/flush mutexes.  Implementations may therefore keep
-//    per-rank state (sync counters, fault injection) unsynchronized.
+//    bucket's drain/flush mutexes.  An endpoint may therefore keep
+//    per-rank state (the sync counter, the armed fault) unsynchronized.
 //
 //  * send() never blocks on the application.  Payloads are copied out
 //    of the caller's buffer before send() returns (into a mailbox or a
@@ -38,25 +38,27 @@
 //    release: in-process it raises the hub's failed flag; over sockets
 //    it half-closes every edge so peers observe EOF.
 //
-//  * Fault injection: inject_fault_at_sync_point(nth, msg) arms a
-//    one-shot fault on THIS endpoint — its nth sync() entry (0-based,
-//    counted since the counter was last reset) throws
-//    std::runtime_error(msg) BEFORE arriving at the sync, so peers are
-//    parked exactly as a real mid-collective death would park them.
-//    tests sweep every sync point of every collective on both
-//    backends.
+//  * Fault injection lives here, once, for every wire: sync() counts
+//    this endpoint's entries, and inject_fault_at_sync_point(nth, msg)
+//    makes entry nth (0-based, counted from the endpoint's
+//    construction) throw std::runtime_error(msg) BEFORE the wire's
+//    barrier, so peers are parked exactly as a real mid-collective
+//    death would park them.  Tests sweep every sync point of every
+//    collective on both backends.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace pgti::dist {
 
 /// Thrown inside surviving workers when a peer dies mid-collective.
-/// Cluster::run / SocketCluster::run swallow these in favour of the
-/// peer's original error.
+/// The rank loop under Cluster::run / SocketCluster::run swallows
+/// these in favour of the peer's original error.
 class PeerFailureError : public std::runtime_error {
  public:
   PeerFailureError()
@@ -109,6 +111,9 @@ static_assert(sizeof(Header) == 16, "frame header must pack to 16 bytes");
 /// Per-rank endpoint: what one rank of the cluster sees of the wire.
 class Transport {
  public:
+  Transport() = default;
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
   virtual ~Transport() = default;
 
   virtual int rank() const noexcept = 0;
@@ -126,18 +131,36 @@ class Transport {
 
   /// Global sync point: blocks until every live rank arrives; throws
   /// PeerFailureError if a peer died instead.  Counts this endpoint's
-  /// entries for fault injection.
-  virtual void sync() = 0;
+  /// entries and throws the armed fault, if this is its entry, before
+  /// the wire's barrier.
+  void sync() {
+    const std::uint64_t entry = syncs_entered_++;
+    if (fault_ && entry == fault_->nth) throw std::runtime_error(fault_->message);
+    wait_for_peers();
+  }
 
-  /// Arms a one-shot injected fault: this endpoint's `nth` upcoming
-  /// sync() entry throws std::runtime_error(message) before arriving.
-  virtual void inject_fault_at_sync_point(std::uint64_t nth,
-                                          std::string message) = 0;
+  /// Arms a one-shot injected fault: this endpoint's sync() entry `nth`
+  /// (0-based, counted from construction) throws
+  /// std::runtime_error(message) instead of arriving.
+  void inject_fault_at_sync_point(std::uint64_t nth, std::string message) {
+    fault_ = Fault{nth, std::move(message)};
+  }
 
   /// Marks this rank as failed and releases every peer blocked on it
   /// (PeerFailureError on their side).  Idempotent; called by the run
   /// harness while unwinding, so it must not throw.
   virtual void shutdown() noexcept = 0;
+
+ private:
+  /// The wire's own barrier behind sync().
+  virtual void wait_for_peers() = 0;
+
+  struct Fault {
+    std::uint64_t nth;
+    std::string message;
+  };
+  std::uint64_t syncs_entered_ = 0;
+  std::optional<Fault> fault_;
 };
 
 }  // namespace pgti::dist

@@ -1,6 +1,5 @@
 #include "dist/transport_inprocess.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -8,7 +7,6 @@ namespace pgti::dist {
 
 InProcessHub::InProcessHub(int world) : world_(world) {
   if (world < 1) throw std::invalid_argument("InProcessHub: world must be >= 1");
-  sync_seen_.assign(static_cast<std::size_t>(world), 0);
   mail_.resize(static_cast<std::size_t>(world) * static_cast<std::size_t>(world));
 }
 
@@ -17,7 +15,6 @@ void InProcessHub::reset_for_run() {
   arrived_ = 0;
   generation_ = 0;
   failed_ = false;
-  std::fill(sync_seen_.begin(), sync_seen_.end(), 0);
   for (auto& box : mail_) {
     // Recycle frames a failed run left in flight.
     while (!box.empty()) {
@@ -25,13 +22,6 @@ void InProcessHub::reset_for_run() {
       box.pop_front();
     }
   }
-}
-
-void InProcessHub::arm_fault(int rank, std::uint64_t nth, std::string message) {
-  std::lock_guard<std::mutex> lk(mu_);
-  fault_rank_ = rank;
-  fault_at_ = nth;
-  fault_message_ = std::move(message);
 }
 
 void InProcessHub::release_failure() noexcept {
@@ -88,15 +78,8 @@ void InProcessTransport::recv(int peer, void* data, std::size_t bytes) {
   }
 }
 
-void InProcessTransport::sync() {
+void InProcessTransport::wait_for_peers() {
   InProcessHub& h = *hub_;
-  // Per-rank sync counting feeds the deterministic fault injection the
-  // failure-depth tests use; each slot is touched only by its rank
-  // (Transport single-collective-thread contract).
-  const std::uint64_t seen = h.sync_seen_[static_cast<std::size_t>(rank_)]++;
-  if (rank_ == h.fault_rank_ && seen == h.fault_at_) {
-    throw std::runtime_error(h.fault_message_);
-  }
   std::unique_lock<std::mutex> lk(h.mu_);
   if (h.failed_) throw PeerFailureError();
   if (++h.arrived_ == h.world_) {
@@ -110,11 +93,6 @@ void InProcessTransport::sync() {
   // A completed generation outranks a failure flag raised afterwards:
   // the collective finished; the failure surfaces at the next entry.
   if (h.generation_ == gen) throw PeerFailureError();
-}
-
-void InProcessTransport::inject_fault_at_sync_point(std::uint64_t nth,
-                                                    std::string message) {
-  hub_->arm_fault(rank_, nth, std::move(message));
 }
 
 }  // namespace pgti::dist

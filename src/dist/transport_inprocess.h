@@ -5,9 +5,8 @@
 // ran the collectives on directly.  The hub preserves that barrier's
 // exact failure semantics — a completed generation outranks a failure
 // flag raised afterwards; peers blocked in sync or recv release with
-// PeerFailureError the moment any rank records a failure — and its
-// per-rank sync counters feed the same deterministic fault injection
-// (Cluster::inject_fault_at_sync_point) the failure-depth sweeps use.
+// PeerFailureError the moment any rank records a failure.  Fault
+// injection is the Transport base's, as on every wire.
 //
 // send() copies the payload into a hub-owned pooled buffer before
 // returning (never blocks on the receiver; an unwinding sender cannot
@@ -21,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "dist/transport.h"
@@ -30,24 +28,18 @@ namespace pgti::dist {
 
 class InProcessTransport;
 
-/// Shared state of one in-process cluster: mailboxes, barrier,
-/// failure flag, fault injection.  Owned by Cluster; endpoints hold a
-/// reference.
+/// Shared state of one in-process cluster: mailboxes, barrier and
+/// failure flag.  Owned by Cluster; endpoints hold a reference.
 class InProcessHub {
  public:
   explicit InProcessHub(int world);
 
   int world() const noexcept { return world_; }
 
-  /// Clears mailboxes, barrier state, failure state, and the per-rank
-  /// sync counters.  Called at the top of every Cluster::run so a
-  /// reused cluster (including one that just unwound a fault) starts
-  /// clean.  Traffic/fault arming is managed by the caller.
+  /// Clears mailboxes, barrier state and failure state.  Called at the
+  /// top of every Cluster::run so a reused cluster (including one that
+  /// just unwound a fault) starts clean.
   void reset_for_run();
-
-  /// Arms the one-shot fault for `rank` (see Transport contract);
-  /// rank == -1 disarms.
-  void arm_fault(int rank, std::uint64_t nth, std::string message);
 
   /// Raises the failure flag and releases every rank blocked in
   /// sync()/recv().  Idempotent.
@@ -71,17 +63,6 @@ class InProcessHub {
   std::uint64_t generation_ = 0;
   bool failed_ = false;
 
-  // Fault injection (test-only); fault_rank_ == -1 means disabled.
-  // Armed before run()'s threads spawn and read without the lock, like
-  // the per-rank sync counters below: only one thread per rank sits in
-  // a collective at a time (Transport contract), and the comm-thread
-  // handoff in OverlappedGradBucket is ordered by its drain/flush
-  // mutexes, so the counter stays race-free and `nth` deterministic.
-  int fault_rank_ = -1;
-  std::uint64_t fault_at_ = 0;
-  std::string fault_message_;
-  std::vector<std::uint64_t> sync_seen_;
-
   // mail_[src * world + dst]: frames in flight; pool_: recycled buffers.
   std::vector<std::deque<std::vector<char>>> mail_;
   std::vector<std::vector<char>> pool_;
@@ -97,11 +78,11 @@ class InProcessTransport final : public Transport {
 
   void send(int peer, const void* data, std::size_t bytes) override;
   void recv(int peer, void* data, std::size_t bytes) override;
-  void sync() override;
-  void inject_fault_at_sync_point(std::uint64_t nth, std::string message) override;
   void shutdown() noexcept override { hub_->release_failure(); }
 
  private:
+  void wait_for_peers() override;
+
   InProcessHub* hub_;
   int rank_;
 };

@@ -13,8 +13,6 @@
 #include <ctime>
 #include <utility>
 
-#include "runtime/thread_pool.h"
-
 namespace pgti::dist {
 namespace {
 
@@ -397,15 +395,7 @@ void SocketTransport::recv(int peer, void* data, std::size_t bytes) {
   read_frame(peer, frame::Type::kData, data, bytes);
 }
 
-void SocketTransport::sync() {
-  // Per-endpoint sync counting feeds the deterministic fault injection
-  // (see dist/transport.h); the injected rank throws BEFORE arriving,
-  // parking peers exactly as a real mid-collective death would.
-  const std::uint64_t seen = sync_seen_++;
-  if (fault_armed_ && seen == fault_at_) {
-    fault_armed_ = false;
-    throw std::runtime_error(fault_message_);
-  }
+void SocketTransport::wait_for_peers() {
   if (world_ == 1) return;
   if (rank_ == 0) {
     for (int q = 1; q < world_; ++q) {
@@ -418,13 +408,6 @@ void SocketTransport::sync() {
     enqueue_frame(0, frame::Type::kArrive, nullptr, 0);
     read_frame(0, frame::Type::kRelease, nullptr, 0);
   }
-}
-
-void SocketTransport::inject_fault_at_sync_point(std::uint64_t nth,
-                                                 std::string message) {
-  fault_armed_ = true;
-  fault_at_ = nth;
-  fault_message_ = std::move(message);
 }
 
 void SocketTransport::shutdown() noexcept {
@@ -446,75 +429,18 @@ void SocketTransport::shutdown() noexcept {
   }
 }
 
-SocketCluster::SocketCluster(int world, NetworkModel network)
-    : world_(world), context_(network) {
-  if (world < 1) throw std::invalid_argument("SocketCluster: world must be >= 1");
-}
-
-void SocketCluster::inject_fault_at_sync_point(int rank, std::uint64_t nth,
-                                               std::string message) {
-  if (rank < 0 || rank >= world_) {
-    throw std::invalid_argument("inject_fault_at_sync_point: bad rank");
-  }
-  fault_rank_ = rank;
-  fault_at_ = nth;
-  fault_message_ = std::move(message);
-}
-
 void SocketCluster::run(const std::function<void(Communicator&)>& fn) {
-  // Modeled time is per-run; traffic stats accumulate across runs
-  // (mirrors Cluster::run).
-  context_.reset_clock();
-
-  auto [listen_fd, port] = socket_listen("127.0.0.1", 0, world_);
-
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  bool first_error_is_peer_failure = false;
-  auto record_failure = [&](std::exception_ptr error, bool is_peer_failure) {
-    std::lock_guard<std::mutex> lk(err_mu);
-    if (!first_error || (first_error_is_peer_failure && !is_peer_failure)) {
-      first_error = error;
-      first_error_is_peer_failure = is_peer_failure;
-    }
-  };
-
-  // Split the kernel pool as Cluster::run does.
-  const int share = PoolShare::per_rank(world_);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(world_));
-  for (int r = 0; r < world_; ++r) {
-    workers.emplace_back([this, r, share, listen_fd = listen_fd, port = port, &fn,
-                          &record_failure] {
-      PoolShare pool_share(share);
-      std::unique_ptr<SocketTransport> endpoint;
-      try {
+  const auto [listen_fd, port] = socket_listen("127.0.0.1", 0, world());
+  run_ranks(
+      [this, listen_fd = listen_fd, port = port](int r) {
         SocketOptions opt;
         opt.rank = r;
-        opt.world = world_;
+        opt.world = world();
         opt.port = port;
         if (r == 0) opt.listen_fd = listen_fd;
-        endpoint = std::make_unique<SocketTransport>(opt);
-        if (r == fault_rank_) {
-          endpoint->inject_fault_at_sync_point(fault_at_, fault_message_);
-        }
-        Communicator comm(*endpoint, context_);
-        fn(comm);
-      } catch (const PeerFailureError&) {
-        record_failure(std::current_exception(), /*is_peer_failure=*/true);
-        if (endpoint) endpoint->shutdown();
-      } catch (...) {
-        record_failure(std::current_exception(), /*is_peer_failure=*/false);
-        if (endpoint) endpoint->shutdown();
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-
-  // One-shot injection, mirroring Cluster::run.
-  fault_rank_ = -1;
-
-  if (first_error) std::rethrow_exception(first_error);
+        return std::make_unique<SocketTransport>(opt);
+      },
+      fn);
 }
 
 }  // namespace pgti::dist

@@ -75,8 +75,6 @@ class SocketTransport final : public Transport {
 
   void send(int peer, const void* data, std::size_t bytes) override;
   void recv(int peer, void* data, std::size_t bytes) override;
-  void sync() override;
-  void inject_fault_at_sync_point(std::uint64_t nth, std::string message) override;
   void shutdown() noexcept override;
 
  private:
@@ -92,6 +90,8 @@ class SocketTransport final : public Transport {
     bool edge_failed = false;
   };
 
+  /// Star barrier in control frames (see the file comment).
+  void wait_for_peers() override;
   void connect_mesh(const SocketOptions& options);
   void writer_loop(Peer& peer);
   void enqueue_frame(int peer, frame::Type type, const void* payload,
@@ -107,14 +107,6 @@ class SocketTransport final : public Transport {
   const int recv_timeout_ms_;
   std::vector<std::unique_ptr<Peer>> peers_;  ///< index = peer rank
   std::atomic<bool> shutdown_{false};
-
-  // One-shot fault injection; written before the collective script
-  // starts, read only by this rank's collective thread (see
-  // dist/transport.h's single-collective-thread contract).
-  std::uint64_t sync_seen_ = 0;
-  bool fault_armed_ = false;
-  std::uint64_t fault_at_ = 0;
-  std::string fault_message_;
 };
 
 /// Thread harness mirroring dist::Cluster, but every rank talks
@@ -123,33 +115,15 @@ class SocketTransport final : public Transport {
 /// convenience (ephemeral ports, so ctest-parallel safe).  For true
 /// multi-process ranks, construct SocketTransport + Communicator
 /// directly (see examples/socket_ddp.cpp).
-class SocketCluster {
+class SocketCluster : public RankHarness {
  public:
-  explicit SocketCluster(int world, NetworkModel network = NetworkModel{});
+  explicit SocketCluster(int world, NetworkModel network = NetworkModel{})
+      : RankHarness(world, network) {}
 
-  /// Runs `fn(comm)` on every rank, joins all workers, and rethrows
-  /// the first original worker exception (never a PeerFailureError
-  /// when a real error caused the unwind).  Ranks split the kernel pool
-  /// as in Cluster::run.
+  /// Binds a fresh rendezvous port, then runs `fn(comm)` on every rank
+  /// through the rank loop (see RankHarness::run_ranks); each rank
+  /// thread builds its endpoint by rendezvous on that port.
   void run(const std::function<void(Communicator&)>& fn);
-
-  int world() const noexcept { return world_; }
-  const NetworkModel& network() const noexcept { return context_.network(); }
-  CommStats stats() const { return context_.stats(); }
-  double modeled_comm_seconds() const { return context_.modeled_seconds(); }
-  void charge_seconds(double seconds) { context_.charge_seconds(seconds); }
-  CommContext& context() noexcept { return context_; }
-
-  /// Same one-shot semantics as Cluster::inject_fault_at_sync_point:
-  /// arms the NEXT run() only; run() disarms on completion.
-  void inject_fault_at_sync_point(int rank, std::uint64_t nth, std::string message);
-
- private:
-  int world_;
-  CommContext context_;
-  int fault_rank_ = -1;
-  std::uint64_t fault_at_ = 0;
-  std::string fault_message_;
 };
 
 }  // namespace pgti::dist

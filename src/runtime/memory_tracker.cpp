@@ -80,17 +80,6 @@ MemorySpaceStats MemoryTracker::stats(MemorySpaceId space) const {
                           s.limit, s.alloc_count, s.heap_alloc_count};
 }
 
-std::vector<MemorySpaceStats> MemoryTracker::all_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<MemorySpaceStats> out;
-  out.reserve(spaces_.size());
-  for (const Space& s : spaces_) {
-    out.push_back(MemorySpaceStats{s.name,  s.current,      s.peak,
-                                   s.limit, s.alloc_count, s.heap_alloc_count});
-  }
-  return out;
-}
-
 void MemoryTracker::reset_peak(MemorySpaceId space) {
   std::lock_guard<std::mutex> lock(mu_);
   Space& s = spaces_.at(static_cast<std::size_t>(space));
@@ -111,11 +100,6 @@ std::vector<MemorySample> MemoryTracker::timeline(MemorySpaceId space) const {
 void MemoryTracker::clear_timeline(MemorySpaceId space) {
   std::lock_guard<std::mutex> lock(mu_);
   spaces_.at(static_cast<std::size_t>(space)).timeline.clear();
-}
-
-int MemoryTracker::space_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(spaces_.size());
 }
 
 std::uint64_t MemoryTracker::heap_allocs_total() const {

@@ -84,7 +84,6 @@ class MemoryTracker {
   std::size_t current(MemorySpaceId space) const;
   std::size_t peak(MemorySpaceId space) const;
   MemorySpaceStats stats(MemorySpaceId space) const;
-  std::vector<MemorySpaceStats> all_stats() const;
 
   /// Resets the peak of a space to its current usage (for scoped peaks).
   void reset_peak(MemorySpaceId space);
@@ -93,9 +92,6 @@ class MemoryTracker {
   void sample(MemorySpaceId space, double progress, const std::string& label = {});
   std::vector<MemorySample> timeline(MemorySpaceId space) const;
   void clear_timeline(MemorySpaceId space);
-
-  /// Number of registered spaces.
-  int space_count() const;
 
   /// Total heap allocations across all spaces since process start.
   /// EpochEngine snapshots this around each train step to compute the

@@ -45,9 +45,6 @@ class Storage {
   const float* data() const noexcept { return data_; }
   std::int64_t numel() const noexcept { return numel_; }
   MemorySpaceId space() const noexcept { return space_; }
-  /// True when the buffer is an arena pool block rather than a private
-  /// heap allocation.
-  bool from_arena() const noexcept { return static_cast<bool>(block_); }
 
  private:
   float* data_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "data/dataloader.h"
 #include "data/synthetic.h"
@@ -266,6 +267,23 @@ TEST_F(LoaderTest, NonPositiveBatchSizeRejected) {
     opt.prefetch_lookahead = 2;
     EXPECT_THROW(DataLoader(*source_, opt, 0, 10), std::invalid_argument)
         << "batch_size " << batch_size;
+  }
+}
+
+TEST(DataLoader, RejectsBadSamplerRankOrWorld) {
+  // samples_per_epoch() divides by world and offsets by rank: without
+  // the check a world of 0 constructs and then dies in
+  // batches_per_epoch(), and a negative rank reports batches that
+  // start_epoch() refuses to sample.
+  const DatasetSpec spec = small_spec();
+  const IndexDataset ds(generate_signal(spec, network_for(spec), 55), spec);
+  const IndexSource source(ds);
+  for (const auto& [rank, world] : {std::pair{0, 0}, {-1, 2}, {2, 2}}) {
+    LoaderOptions opt;
+    opt.batch_size = 8;
+    opt.sampler = SamplerOptions{ShuffleMode::kGlobal, rank, world, 1, 8};
+    EXPECT_THROW(DataLoader(source, opt, 0, 10), std::invalid_argument)
+        << "rank " << rank << ", world " << world;
   }
 }
 

@@ -135,7 +135,7 @@ TEST(TreeFailure, PeersReleasedAtEveryTreeDepth) {
   // via PeerFailureError at every depth, and run() must always rethrow
   // the original (injected) error.
   for (int w : {2, 3, 5, 8}) {
-    const int points = Cluster::allreduce_sync_points(w);
+    const int points = alg::allreduce_sync_points(w);
     ASSERT_GE(points, 4) << "w=" << w;
     for (int depth = 0; depth < points; ++depth) {
       Cluster cluster(w);

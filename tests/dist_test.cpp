@@ -226,7 +226,7 @@ TEST(Comm, BroadcastReleasesPeersAtEveryTreeStage) {
   // `depth` of a broadcast; peers must unwind via PeerFailureError at
   // every delivery stage and run() must rethrow the original error.
   for (int w : {2, 3, 5, 8}) {
-    const int points = Cluster::broadcast_sync_points(w);
+    const int points = alg::broadcast_sync_points(w);
     ASSERT_GE(points, 2) << "w=" << w;
     for (int depth = 0; depth < points; ++depth) {
       Cluster cluster(w);
@@ -290,27 +290,14 @@ TEST(Comm, ModeledTimeIsPerRun) {
 }
 
 TEST(Comm, TreeScheduleShape) {
-  EXPECT_EQ(Cluster::allreduce_stages(1), 1);
-  EXPECT_EQ(Cluster::allreduce_stages(2), 1);
-  EXPECT_EQ(Cluster::allreduce_stages(3), 2);
-  EXPECT_EQ(Cluster::allreduce_stages(4), 2);
-  EXPECT_EQ(Cluster::allreduce_stages(5), 3);
-  EXPECT_EQ(Cluster::allreduce_stages(8), 3);
-  EXPECT_EQ(Cluster::allreduce_stages(9), 4);
-  EXPECT_EQ(Cluster::allreduce_sync_points(8), Cluster::allreduce_stages(8) + 3);
-}
-
-TEST(Comm, InjectedFaultIsOneShotAcrossRuns) {
-  // A reused Cluster must recover after a fault-injection pass: run()
-  // disarms the injection on completion.
-  Cluster cluster(3);
-  cluster.inject_fault_at_sync_point(2, 0, "one-shot fault");
-  const auto job = [](Communicator& comm) {
-    float v = static_cast<float>(comm.rank());
-    comm.allreduce_sum(&v, 1);
-  };
-  EXPECT_THROW(cluster.run(job), std::runtime_error);
-  cluster.run(job);  // recovery pass: must complete cleanly
+  EXPECT_EQ(alg::allreduce_stages(1), 1);
+  EXPECT_EQ(alg::allreduce_stages(2), 1);
+  EXPECT_EQ(alg::allreduce_stages(3), 2);
+  EXPECT_EQ(alg::allreduce_stages(4), 2);
+  EXPECT_EQ(alg::allreduce_stages(5), 3);
+  EXPECT_EQ(alg::allreduce_stages(8), 3);
+  EXPECT_EQ(alg::allreduce_stages(9), 4);
+  EXPECT_EQ(alg::allreduce_sync_points(8), alg::allreduce_stages(8) + 3);
 }
 
 TEST(Comm, RepeatedCollectivesStressBarrier) {

@@ -215,12 +215,12 @@ void sweep_socket_faults(int w, int sync_points, const char* what, Fn&& body) {
 TEST(SocketFailure, PeersReleasedAtEverySyncPointOfEveryCollective) {
   const std::int64_t n = 96;
   for (int w : {2, 3, 4}) {
-    sweep_socket_faults(w, Cluster::allreduce_sync_points(w), "allreduce",
+    sweep_socket_faults(w, alg::allreduce_sync_points(w), "allreduce",
                         [n](Communicator& comm) {
                           std::vector<float> v = rank_payload(comm.rank(), n);
                           comm.allreduce_sum(v.data(), n);
                         });
-    sweep_socket_faults(w, Cluster::broadcast_sync_points(w), "broadcast",
+    sweep_socket_faults(w, alg::broadcast_sync_points(w), "broadcast",
                         [n](Communicator& comm) {
                           std::vector<float> v = rank_payload(0, n);
                           comm.broadcast(v.data(), n, /*root=*/0);
@@ -255,17 +255,59 @@ TEST(SocketFailure, DeathBetweenCollectivesReleasesPeersAndRethrowsOriginal) {
   }
 }
 
-TEST(SocketFailure, InjectedFaultIsOneShotAcrossRuns) {
-  SocketCluster cluster(3);
-  cluster.inject_fault_at_sync_point(2, 0, "boom");
-  EXPECT_THROW(cluster.run([](Communicator& comm) { comm.barrier(); }),
-               std::runtime_error);
-  // Disarmed by the failed run: a fresh mesh must complete cleanly.
-  cluster.run([](Communicator& comm) {
+// ------------------------------------------------- the one fault hook
+
+/// Cluster and SocketCluster run the one rank loop, and every wire
+/// counts its sync points in the Transport base, so arming, disarming
+/// and re-arming a fault must behave the same over mailboxes and over
+/// loopback TCP.
+template <typename ClusterT>
+class InjectedFault : public ::testing::Test {};
+using RankHarnesses = ::testing::Types<Cluster, SocketCluster>;
+TYPED_TEST_SUITE(InjectedFault, RankHarnesses);
+
+TYPED_TEST(InjectedFault, IsOneShotAcrossRunsAndRearmsAtTheSameCollective) {
+  const int w = 3;
+  TypeParam cluster(w);
+  // Three collectives: a barrier (sync point 0), an all-reduce (points
+  // 1 .. allreduce_sync_points(w)) and another barrier.  `completed`
+  // counts the collectives each rank finished in the latest run.
+  std::vector<int> completed(static_cast<std::size_t>(w), 0);
+  const auto job = [&](Communicator& comm) {
+    int& done = completed[static_cast<std::size_t>(comm.rank())];
+    done = 0;
+    comm.barrier();
+    ++done;
     float v = static_cast<float>(comm.rank());
     comm.allreduce_sum(&v, 1);
     EXPECT_EQ(v, 3.0f);
-  });
+    ++done;
+    comm.barrier();
+    ++done;
+  };
+  const auto expect_fault = [&](const char* message) {
+    try {
+      cluster.run(job);
+      ADD_FAILURE() << "expected the injected fault '" << message << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+    // The faulted rank died inside the all-reduce, after the barrier.
+    EXPECT_EQ(completed[static_cast<std::size_t>(w - 1)], 1);
+  };
+  const std::uint64_t in_allreduce = 2;
+  cluster.inject_fault_at_sync_point(w - 1, in_allreduce, "first fault");
+  expect_fault("first fault");
+
+  // The failed run disarmed the fault: the reused cluster recovers.
+  cluster.run(job);
+  EXPECT_EQ(completed, std::vector<int>(static_cast<std::size_t>(w), 3));
+
+  // Every run builds fresh endpoints whose sync counters start at 0, so
+  // arming the same point again fails the next run at the same
+  // collective.
+  cluster.inject_fault_at_sync_point(w - 1, in_allreduce, "re-armed fault");
+  expect_fault("re-armed fault");
 }
 
 // ------------------------------------------------- framing contract

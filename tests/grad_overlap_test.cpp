@@ -253,7 +253,7 @@ TEST(OverlappedBucket, FaultDuringOverlappedReduceUnwindsCleanly) {
   // PeerFailureError release) with no deadlock, and run() must rethrow
   // the original error.
   for (int w : {2, 4}) {
-    const int points = Cluster::allreduce_sync_points(w);
+    const int points = alg::allreduce_sync_points(w);
     for (int nth = 0; nth < 3 * points; ++nth) {
       Cluster cluster(w);
       cluster.inject_fault_at_sync_point(w - 1, static_cast<std::uint64_t>(nth),
