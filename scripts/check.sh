@@ -6,10 +6,14 @@
 # in-process losses byte for byte across forked rank processes, an
 # oracle gate proving libpgti.a carries no `_reference` kernel and no
 # `gru_fusion` switch (those live in the test-and-bench-only
-# pgti_reference library), the alloc-free and serving gates re-run by
-# test name, the kernel parity suite re-run at 1 and 3 pool threads and
-# in a baseline-ISA build (<build-dir>-portable, -DPGTI_NATIVE=OFF,
-# kernel_fusion_test and tensor_ops_test only), and a benchmark smoke
+# pgti_reference library), the alloc-free, serving and cache residency
+# gates re-run by test name (the residency gate: the SnapshotCache
+# cases, the store-level cache and schedule-aware eviction cases, the
+# store counters repeating across runs, the priced ledger at every
+# prefetch depth, and the serving hot window), the kernel parity suite
+# re-run at 1 and 3 pool threads and in a baseline-ISA build
+# (<build-dir>-portable, -DPGTI_NATIVE=OFF, kernel_fusion_test and
+# tensor_ops_test only), and a benchmark smoke
 # proving the benchmark/ harness still builds against the library and
 # passes every gate at smoke scale (benchmark/run.sh --smoke, built in
 # build-bench/).
@@ -94,6 +98,17 @@ echo "== serving gate: micro-batch bit-parity + snapshot isolation =="
 # training thread must never bleed into a captured snapshot.
 "${build_dir}/serve_test" \
   --gtest_filter='ServeBitParity.CoalescedBatchMatchesSequentialForwards:ServeSnapshot.PublishFromTrainingThreadIsolatesVersions'
+
+echo
+echo "== cache residency gate: SnapshotCache, store cache, eviction order, hot window =="
+# Residency has one owner, dist::SnapshotCache under DistStore (DESIGN.md
+# §9).  Re-run by name: the cache driven directly, the store-level
+# pinning, byte-bound and schedule-aware eviction cases, the store's
+# counters across runs and prefetch depths, and the serving hot window
+# held by the cache's retained range.
+"${build_dir}/dist_prefetch_test" \
+  --gtest_filter='SnapshotCache.*:StoreCache.*:ScheduleAwareEviction.*:DistPrefetch.StoreCountersRepeatAcrossRuns:DepthNPrefetch.PricedLedgerIndependentOfDepth'
+"${build_dir}/serve_test" --gtest_filter='ServeHotWindow.*'
 
 echo
 echo "== kernel parity across partitions: kernel_fusion_test at 1 and 3 pool threads =="

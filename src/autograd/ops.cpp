@@ -81,13 +81,6 @@ Variable mul_scalar(const Variable& a, float s) {
   });
 }
 
-Variable add_scalar(const Variable& a, float s) {
-  ImplPtr ia = a.impl();
-  return Variable::make_node(ops::add_scalar(a.value(), s), {a}, [ia](Impl& node) {
-    Variable::accumulate(ia, node.grad);
-  });
-}
-
 Variable add_bias(const Variable& m, const Variable& bias) {
   ImplPtr im = m.impl(), ib = bias.impl();
   return Variable::make_node(ops::add_bias(m.value(), bias.value()), {m, bias},

@@ -20,7 +20,6 @@ Variable sub(const Variable& a, const Variable& b);
 Variable mul(const Variable& a, const Variable& b);
 Variable neg(const Variable& a);
 Variable mul_scalar(const Variable& a, float s);
-Variable add_scalar(const Variable& a, float s);
 
 /// m[M,C] + bias[C] broadcast over rows.
 Variable add_bias(const Variable& m, const Variable& bias);

@@ -33,7 +33,6 @@ struct TrainConfig {
   data::ShuffleMode shuffle = data::ShuffleMode::kGlobal;
   /// Train on a simulated device (GPU) vs. pure host execution.
   bool use_device = true;
-  int device_index = 0;
   /// Record MemoryTracker timeline samples at phase/batch boundaries.
   bool record_timeline = false;
   /// Caps train batches per epoch (0 = no cap); benches use this to
@@ -75,9 +74,9 @@ struct DistConfig {
   int world = 4;
   int epochs = 10;
   float lr = 1e-3f;
-  /// Apply the linear LR-scaling rule with warmup (paper §5.3.3).
+  /// Apply the linear LR-scaling rule with a 3-epoch warmup (paper
+  /// §5.3.3).
   bool scale_lr = false;
-  int warmup_epochs = 3;
   std::int64_t hidden_dim = 32;
   int diffusion_steps = 2;
   std::uint64_t seed = 42;

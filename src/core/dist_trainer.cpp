@@ -111,8 +111,7 @@ DistResult Job::finish(const dist::CommContext& context) {
   // other ranks see zeros here, matching the "rank 0 writes"
   // convention.
   result.comm = context.stats();
-  result.modeled_allreduce_seconds =
-      context.modeled_seconds() - result.modeled_fetch_seconds;
+  result.modeled_allreduce_seconds = context.collective_seconds();
   return std::move(result);
 }
 
@@ -216,7 +215,7 @@ void rank_main(dist::Communicator& comm, Job& job) {
   optim::Adam::Options adam_opt;
   adam_opt.lr = cfg.lr;
   optim::Adam opt(params, adam_opt);
-  optim::LinearScalingSchedule schedule(cfg.lr, world, cfg.warmup_epochs);
+  optim::LinearScalingSchedule schedule(cfg.lr, world, /*warmup_epochs=*/3);
 
   // Gradient plane: serial bucketed averaging, or ready-bucket
   // overlap where backward itself launches each bucket's all-reduce

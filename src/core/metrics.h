@@ -59,6 +59,11 @@ struct DistResult {
   std::vector<EpochMetrics> curve;
   double preprocess_seconds = 0.0;
   double train_wall_seconds = 0.0;       ///< measured (oversubscribed threads)
+  /// Modeled seconds of the job's collectives alone, as the recording
+  /// rank charged them (CommContext::collective_seconds); fetch time
+  /// charged to the same clock is not in it, so a store-backed and an
+  /// index strategy running the same collectives report the same
+  /// value, bit for bit.
   double modeled_allreduce_seconds = 0.0;
   /// Modeled fetch seconds the cluster was actually charged: the
   /// *exposed* share (store.exposed_seconds).  Without prefetch this
@@ -75,6 +80,10 @@ struct DistResult {
   /// charges a nonzero all-reduce cost (world > 1).
   double grad_sync_exposed_seconds = 0.0;
   double best_val_mae = 0.0;
+  /// Host high-water mark since the job's set-up reset it.  For the
+  /// index strategies it depends on how the W rank threads' dataset
+  /// builds and step tensors interleave, so identical runs differ by
+  /// a few hundred kB (207.45–207.96 MB over three `ddp-index` runs).
   std::size_t peak_host_bytes = 0;
   dist::CommStats comm;
   dist::StoreStats store;

@@ -43,8 +43,7 @@ double seq_mse(const std::vector<Variable>& outputs, const Tensor& y) {
 TrainResult Trainer::run() {
   TrainResult result;
   auto& tracker = MemoryTracker::instance();
-  SimDevice* device = cfg_.use_device ? &DeviceManager::instance().gpu(cfg_.device_index)
-                                      : nullptr;
+  SimDevice* device = cfg_.use_device ? &DeviceManager::instance().gpu(0) : nullptr;
   if (device) device->reset_stats();
 
   const data::DatasetSpec& spec = cfg_.spec;

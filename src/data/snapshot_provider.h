@@ -52,12 +52,12 @@ class SnapshotProvider {
   /// Tells the provider that `rank`'s consumer received one assembled
   /// batch (called on the consumer thread, once per batch, in delivery
   /// order).  Providers that overlap transfers with compute classify
-  /// the overlap split of their oldest consumed-but-unclassified
-  /// announced request here: when a prefetch worker announces and
-  /// assembles batches ahead of compute, the wall window that really
-  /// hides a transfer runs from its announcement to the batch's
-  /// *delivery*.  A consumer that announced the batch itself waited
-  /// for its own transfer, so its window is empty.  Default: ignore.
+  /// the overlap split of their oldest unclassified announced request
+  /// here: when a prefetch worker announces and assembles batches
+  /// ahead of compute, the wall window that really hides a transfer
+  /// runs from its announcement to the batch's *delivery*.  A
+  /// consumer that announced the batch itself waited for its own
+  /// transfer, so its window is empty.  Default: ignore.
   virtual void notify_batch_delivered(int rank) { (void)rank; }
 
   /// Announces `rank`'s full epoch consumption order (once per
@@ -70,6 +70,12 @@ class SnapshotProvider {
     (void)rank;
     (void)ids;
   }
+
+  /// Asks `rank`'s cache to keep snapshots [begin, end) resident as
+  /// long as its bounds allow: a caching provider evicts them last,
+  /// stalest first (the serving engine's hot window).  Replaces any
+  /// earlier range.  Default: ignore.
+  virtual void retain(int /*rank*/, std::int64_t /*begin*/, std::int64_t /*end*/) {}
 
   /// *Exposed* modeled fetch seconds accumulated by `rank` since the
   /// last drain — the share of modeled fetch time still on the critical

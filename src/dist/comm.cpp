@@ -19,8 +19,9 @@ void Communicator::record(int recorder, std::uint64_t CommStats::*count,
     context_->stats_.*bytes += traffic;
   }
   if (modeled_payload) {
-    context_->sim_clock_.add(
-        context_->network_.allreduce_seconds(*modeled_payload, world()));
+    const double seconds = context_->network_.allreduce_seconds(*modeled_payload, world());
+    context_->sim_clock_.add(seconds);
+    context_->collective_clock_.add(seconds);
   }
 }
 

@@ -98,8 +98,16 @@ class CommContext {
   /// Modeled communication seconds since the last reset_clock().
   double modeled_seconds() const { return sim_clock_.seconds(); }
 
+  /// The collectives' share of modeled_seconds(): what the recording
+  /// rank's collectives charged since the last reset_clock(), without
+  /// anything added through charge_seconds.
+  double collective_seconds() const { return collective_clock_.seconds(); }
+
   /// Modeled time is per-run; traffic stats accumulate across runs.
-  void reset_clock() { sim_clock_.reset(); }
+  void reset_clock() {
+    sim_clock_.reset();
+    collective_clock_.reset();
+  }
 
   CommStats stats() const {
     std::lock_guard<std::mutex> lk(mu_);
@@ -111,6 +119,7 @@ class CommContext {
 
   NetworkModel network_;
   SimClock sim_clock_;
+  SimClock collective_clock_;  ///< collectives only (sim_clock_ has them too)
   mutable std::mutex mu_;
   CommStats stats_;
 };

@@ -10,7 +10,7 @@
 // shard [partition(r)) (shard_x/shard_y expose the owned slices), and
 // every remote access is priced per the model.  fetch() returns a
 // zero-copy view for rank-local snapshots and a real copied tensor,
-// served through a bounded per-rank cache, for remote ones.  The
+// served through the rank's bounded SnapshotCache, for remote ones.  The
 // StoreStats ledger keeps the *model* (every remote access priced,
 // consolidated per owner) next to the *measured* movement
 // (bytes_copied, cache hits), so modeled bytes can be asserted against
@@ -18,10 +18,10 @@
 // cache_hit_bytes always holds.
 //
 // Ranks.  The store starts with `world` worker ranks; add_reader()
-// appends more.  Every rank gets the same state (cache, request
-// pipeline); a rank differs from another only in what it owns, and
-// ranks past the workers own nothing, so every access they make is
-// remote.  Serving uses such a reader rank, which keeps training
+// appends more.  Every rank gets the same state (a SnapshotCache and
+// the request lifecycle below); a rank differs from another only in
+// what it owns, and ranks past the workers own nothing, so every
+// access they make is remote.  Serving uses such a reader rank, which keeps training
 // shards untouched by serving traffic.  The store starts no threads:
 // whoever announces a batch stages it.
 //
@@ -29,19 +29,20 @@
 // every request takes the same four steps:
 //
 //   1. announce — prefetch_batch prices the batch through the
-//      FetchModel and marks its remote ids in flight.  A fetch() of an
-//      id nobody announced is announced on the spot as its own
-//      one-snapshot request.
+//      FetchModel.  A fetch() of an id nobody announced is announced
+//      on the spot as its own one-snapshot request.
 //   2. stage — on the announcing thread, before prefetch_batch
-//      returns, the ids are copied into the rank's cache, pinned.  The
-//      copies are made before the batch is recorded, so a failed copy
-//      leaves nothing of it priced, pinned or in flight.
+//      returns, the rank's cache pins the remote ids and the misses
+//      are copied into it.  The copies are made before the batch is
+//      recorded, so a failed copy leaves nothing of it priced or
+//      pinned.
 //   3. consume — each announced id is taken by exactly one fetch(),
 //      which unpins it.
-//   4. classify — at the delivery of the batch that first needed the
-//      request (notify_batch_delivered, on the consumer), its modeled
-//      seconds split into overlapped and exposed: exposed = max(0,
-//      modeled - window).  The window is 0 when the delivering thread
+//   4. classify — requests wait in a FIFO in announcement order, and
+//      each delivery of a batch (notify_batch_delivered, on the
+//      consumer) classifies the oldest: its modeled seconds split
+//      into overlapped and exposed, exposed = max(0, modeled -
+//      window).  The window is 0 when the delivering thread
 //      announced the request itself (it waited for its own copies, so
 //      nothing hid them); otherwise it runs from the announcement to
 //      the delivery, because a prefetch worker staged the batch up to
@@ -50,30 +51,24 @@
 //      delivered (abandon_prefetches) were never waited on and are
 //      fully overlapped.
 //
-// Announced snapshots stay pinned until consumed, so even a
-// zero-capacity or byte-tight cache never evicts a snapshot between
-// its announcement and its consumption (which would re-price it as a
-// request of its own).  abandon_prefetches(rank) releases
-// announcements that will never be consumed (epoch truncation).
-// drain_modeled_seconds() drains only the exposed share.
-//
-// Schedule-aware eviction: announce_schedule(rank, ids) installs the
-// epoch's consumption order; when the cache must evict, victims are
-// unpinned entries with no remaining scheduled use first (LRU among
-// them), then the farthest-scheduled (Belady fallback) — so a
-// snapshot scheduled for a nearer-future batch always outlives
-// already-consumed residue.  Without a schedule, eviction degrades to
-// plain pinned-aware LRU.
+// Residency is not the store's: each rank's SnapshotCache
+// (snapshot_cache.h) holds its copies, pins, bounds, announced
+// schedule and retained range, and picks every eviction victim.  The
+// cache's pin is the store's one record of an announced, unconsumed
+// id, so even a zero-capacity or byte-tight cache keeps a snapshot
+// from its announcement to its consumption (an eviction in between
+// would re-price it as a request of its own).  abandon_prefetches(rank)
+// releases announcements that will never be consumed (epoch
+// truncation).  drain_modeled_seconds() drains only the exposed share.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -81,6 +76,7 @@
 #include "data/snapshot_provider.h"
 #include "dist/cluster_model.h"
 #include "dist/fetch_model.h"
+#include "dist/snapshot_cache.h"
 
 namespace pgti::dist {
 
@@ -179,26 +175,26 @@ class DistStore final : public data::SnapshotProvider {
   /// Announces one batch and stages it on the calling thread (steps 1
   /// and 2 of the lifecycle): when it returns, the batch's remote ids
   /// are in `rank`'s cache, pinned until fetched.  Throws
-  /// std::logic_error if a remote id repeats in `ids` or is still in
-  /// flight from an earlier announcement of this rank, and rethrows a
+  /// std::logic_error if a remote id repeats in `ids` or is still
+  /// pinned by an earlier announcement of this rank, and rethrows a
   /// failed copy (e.g. OutOfMemoryError); either way nothing of the
-  /// batch is recorded, pinned or in flight.
+  /// batch is recorded or pinned.
   void prefetch_batch(int rank, const std::vector<std::int64_t>& ids) override;
   void abandon_prefetches(int rank) override;
-  /// Classifies the oldest consumed-but-unclassified request of `rank`
-  /// (FIFO, one per delivery).  Requests are announced and consumed in
-  /// batch order and a batch without remote snapshots creates none, so
-  /// a request is classified at or before its own delivery.  A request
-  /// the calling thread announced itself gets no window: it waited for
-  /// its own copies.
+  /// Classifies the oldest unclassified request of `rank` (FIFO in
+  /// announcement order, one per delivery).  Batches are delivered in
+  /// the order they were announced and a batch without remote
+  /// snapshots creates no request, so a request is classified at or
+  /// before its own delivery.  A request the calling thread announced
+  /// itself gets no window: it waited for its own copies.
   void notify_batch_delivered(int rank) override;
-  /// Installs `rank`'s announced consumption order for schedule-aware
-  /// eviction (replaces any previous schedule; ids may repeat —
-  /// loaders announce the current epoch's order followed by the next
-  /// epoch's, so end-of-epoch residue the coming epoch reuses keeps a
-  /// future position across the boundary).  The schedule survives
-  /// abandon_prefetches (the following start_epoch replaces it).
+  /// Installs `rank`'s announced consumption order in its cache
+  /// (SnapshotCache::schedule; replaces any previous schedule).  The
+  /// schedule survives abandon_prefetches (the following start_epoch
+  /// replaces it).
   void announce_schedule(int rank, const std::vector<std::int64_t>& ids) override;
+  /// Sets `rank`'s retained range (SnapshotCache::retain).
+  void retain(int rank, std::int64_t begin, std::int64_t end) override;
   double drain_modeled_seconds(int rank) override;
   std::int64_t num_snapshots() const noexcept override { return model_.num_snapshots(); }
   MemorySpaceId space() const override { return dataset_.x().space(); }
@@ -207,83 +203,43 @@ class DistStore final : public data::SnapshotProvider {
   const data::DatasetSpec& spec() const override { return dataset_.spec(); }
 
  private:
-  struct CacheEntry {
-    Tensor x, y;
-    std::list<std::int64_t>::iterator lru_it;
-    std::int64_t bytes = 0;
-    /// Outstanding announcements: > 0 means announced but not yet
-    /// consumed by fetch(); pinned entries are never evicted.
-    int pins = 0;
-  };
-
-  /// One announced batch's remote ids on their way through the
-  /// lifecycle: priced and staged at announcement, consumed,
-  /// classified.
+  /// One announced batch's remote ids, priced and staged, waiting
+  /// for the delivery that classifies them.
   struct Request {
     double modeled_seconds = 0.0;
     std::chrono::steady_clock::time_point announced_at;
     std::thread::id announced_by;
-    bool needed = false;  ///< a fetch consumed it; queued for delivery
-    bool classified = false;
   };
 
-  /// Per-rank remote-snapshot cache, request pipeline, and
-  /// exposed-time drain accumulator.  `m` serializes the rank's
-  /// announcing thread, its consumer, and drain callers.
+  /// Per rank: its cache, its requests awaiting delivery (oldest
+  /// first), and the exposed seconds not yet drained.  `m` serializes
+  /// the rank's announcing thread, its consumer, and drain callers.
   struct RankState {
+    explicit RankState(SnapshotCache empty) : cache(std::move(empty)) {}
     std::mutex m;
-    std::list<std::int64_t> lru;  // front = most recently used
-    std::unordered_map<std::int64_t, CacheEntry> cache;
-    std::int64_t cache_bytes = 0;
+    SnapshotCache cache;
+    std::deque<Request> awaiting_delivery;
     double pending_exposed_seconds = 0.0;
-    /// Announced-but-unconsumed remote ids -> their request.
-    std::unordered_map<std::int64_t, std::shared_ptr<Request>> in_flight;
-    /// Consumed requests waiting, FIFO, for their delivery.
-    std::deque<std::shared_ptr<Request>> awaiting_delivery;
-
-    /// Epoch schedule for schedule-aware eviction: id -> ALL positions
-    /// (ascending) in the announced consumption order; only the first
-    /// position at or past schedule_progress matters (earlier ones
-    /// have been consumed).
-    std::unordered_map<std::int64_t, std::vector<std::int64_t>> schedule_pos;
-    std::int64_t schedule_progress = 0;
   };
 
   RankState& rank_state(int rank);
   void check_rank(int rank) const;
 
-  /// Steps 1 and 2 (rs.m held): prices `ids`, pins the resident
-  /// remote ids, evicts to make room for the rest and copies them, then
-  /// records the price and the copies and marks every remote id in
-  /// flight.  Returns the request, or null when every id is local.
-  std::shared_ptr<Request> announce_locked(int rank, RankState& rs,
-                                           const std::vector<std::int64_t>& ids);
+  /// Steps 1 and 2 (rs.m held): prices `ids` and stages their remote
+  /// ids in the rank's cache, then records the price and the copies.
+  /// Returns the request, or nothing when every id is local.
+  std::optional<Request> announce_locked(int rank, RankState& rs,
+                                         const std::vector<std::int64_t>& ids);
   /// Step 4 (rs.m held): exposed = max(0, modeled - window_seconds).
-  void classify_locked(RankState& rs, Request& req, double window_seconds);
-  /// Classifies every in-flight or undelivered request as fully
-  /// overlapped and forgets it (rs.m held).
-  void retire_undelivered_locked(RankState& rs);
-  /// Step 3 (rs.m held): hands the cached snapshot to the consumer,
-  /// unpins one announcement, and enforces the cache bounds.
-  std::pair<Tensor, Tensor> consume_locked(RankState& rs, std::int64_t i);
-  /// Evicts unpinned entries while the cache, plus `incoming`
-  /// snapshots about to be inserted, is over either bound (rs.m held);
-  /// entries with no remaining scheduled use go first (LRU order among
-  /// them), then the farthest-scheduled.
-  void evict_over_capacity_locked(RankState& rs, std::int64_t incoming = 0);
-  /// Next scheduled position of `i` in `rs`'s announced epoch order,
-  /// or -1 when `i` is unscheduled / already past (rs.m held).
-  static std::int64_t future_schedule_pos_locked(const RankState& rs,
-                                                 std::int64_t i);
+  void classify_locked(RankState& rs, const Request& req, double window_seconds);
 
   FetchModel model_;
   data::StandardDataset dataset_;
-  std::int64_t cache_capacity_;
-  std::int64_t cache_bytes_capacity_;  ///< 0 = no byte bound
+  SnapshotCache empty_cache_;  ///< every rank's cache starts as a copy
   std::vector<std::unique_ptr<RankState>> ranks_;
 
   mutable std::mutex mu_;
-  StoreStats stats_;
+  StoreStats stats_;  ///< cache_evictions stays 0: stats() sums the caches'
 };
 
 }  // namespace pgti::dist

@@ -30,6 +30,7 @@ InferenceEngine::InferenceEngine(SnapshotSlot& slot, data::SnapshotProvider& pro
   if (cfg_.hot_window < 0) {
     throw std::invalid_argument("InferenceEngine: hot_window must be >= 0");
   }
+  retain_hot_window(head_.load());
 }
 
 InferenceEngine::~InferenceEngine() { stop(); }
@@ -86,7 +87,7 @@ void InferenceEngine::advance_to(std::int64_t latest) {
                             std::to_string(provider_->num_snapshots()) + ")");
   }
   head_.store(latest);
-  announce_hot_window({});
+  retain_hot_window(latest);
 }
 
 ServeStats InferenceEngine::stats() const {
@@ -94,19 +95,9 @@ ServeStats InferenceEngine::stats() const {
   return stats_;
 }
 
-void InferenceEngine::announce_hot_window(const std::vector<std::int64_t>& first) {
-  if (cfg_.hot_window == 0 && first.empty()) return;
-  std::vector<std::int64_t> sched = first;
-  const std::int64_t head = head_.load();
-  // Newest first: schedule position encodes retention priority for the
-  // provider's schedule-aware eviction, so the freshest windows always
-  // outlive stale residue.
-  for (std::int64_t i = 0; i < cfg_.hot_window; ++i) {
-    const std::int64_t id = head - i;
-    if (id < 0) break;
-    sched.push_back(id);
-  }
-  provider_->announce_schedule(rank_, sched);
+void InferenceEngine::retain_hot_window(std::int64_t head) {
+  const std::int64_t begin = std::max<std::int64_t>(0, head - cfg_.hot_window + 1);
+  provider_->retain(rank_, begin, head + 1);
 }
 
 void InferenceEngine::fail_request(PendingRequest& pending, std::exception_ptr error) {
@@ -241,7 +232,6 @@ void InferenceEngine::serve_batch(std::vector<PendingRequest>& batch) {
   std::vector<Variable> outputs;
   std::unordered_map<std::int64_t, Tensor> windows;
   try {
-    announce_hot_window(unique);
     provider_->prefetch_batch(rank_, unique);
     windows.reserve(unique.size());
     for (std::int64_t id : unique) {

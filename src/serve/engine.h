@@ -7,15 +7,16 @@
 // ModelSnapshot:
 //
 //   submit() -> bounded RequestQueue -> coalescing worker
-//     -> [capture snapshot, ArenaScope, hot-window announce,
+//     -> [capture snapshot, ArenaScope,
 //         consolidated feature fetch, batched forward_seq,
 //         per-request gather] -> promise/future
 //
 // Feature windows come through a read-only data::SnapshotProvider view
-// (a DistStore reader rank in the distributed deployment), with the
-// store's schedule-aware cache repurposed as a hot-window cache: the
-// engine announces the most recent `hot_window` snapshot ids as its
-// "schedule", so eviction keeps the freshest windows resident and
+// (a DistStore reader rank in the distributed deployment).  The engine
+// keeps a hot window resident: whenever the stream head moves (at
+// construction and in advance_to) it sets the provider's retained
+// range to the most recent `hot_window` snapshot ids, which the
+// reader rank's SnapshotCache evicts last and stalest first, so
 // repeated requests against the live head copy zero bytes.
 //
 // Every serving batch runs inside an ArenaScope on the worker thread —
@@ -50,8 +51,8 @@ struct EngineConfig {
   std::chrono::microseconds coalesce_window{1000};
   /// Hard cap on requests per fused forward.
   std::int64_t max_batch = 64;
-  /// Most-recent snapshot ids announced to the provider's
-  /// schedule-aware cache so they stay resident (0 = no hot window).
+  /// Most-recent snapshot ids the provider's cache retains, so they
+  /// stay resident (0 = no hot window).
   std::int64_t hot_window = 64;
 };
 
@@ -91,8 +92,8 @@ class InferenceEngine {
   std::future<Forecast> submit(ForecastRequest request);
 
   /// Moves the live stream head: requests with snapshot = -1 resolve
-  /// to `latest`, and the hot window [latest - hot_window + 1, latest]
-  /// is (re)announced to the provider's cache.
+  /// to `latest`, and the provider's cache retains the hot window
+  /// [latest - hot_window + 1, latest] from now on.
   void advance_to(std::int64_t latest);
 
   std::int64_t stream_head() const noexcept { return head_.load(); }
@@ -103,10 +104,9 @@ class InferenceEngine {
  private:
   void worker_loop();
   void serve_batch(std::vector<PendingRequest>& batch);
-  /// Hot-window schedule announcement: `first` (the batch about to be
-  /// consumed) followed by the most recent `hot_window` ids, newest
-  /// first — so eviction victims are always the stalest windows.
-  void announce_hot_window(const std::vector<std::int64_t>& first);
+  /// Retains the hot window [head - hot_window + 1, head] (clamped at
+  /// 0; empty when hot_window is 0) in the provider's cache.
+  void retain_hot_window(std::int64_t head);
   void fail_request(PendingRequest& pending, std::exception_ptr error);
 
   SnapshotSlot* slot_;

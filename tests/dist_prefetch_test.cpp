@@ -1,5 +1,9 @@
 // The prefetch/caching data path, end to end:
 //
+//  * dist::SnapshotCache driven directly, with small tensors and no
+//    dataset or store: pins outlive a zero bound, the eviction tiers
+//    (residue, then scheduled, then retained), the byte bound, an id
+//    scheduled twice, a failed copy, and releasing every pin;
 //  * regression: a zero/tiny-capacity cache must never double-price an
 //    announced consolidated fetch (announced snapshots are pinned
 //    until consumed);
@@ -20,12 +24,17 @@
 //    priced ledger independent of depth, truncated-epoch
 //    reconciliation at depth > 1, and the schedule-aware eviction
 //    policy (a snapshot scheduled for a nearer-future batch outlives
-//    already-consumed residue).
+//    already-consumed residue);
+//  * DistResult::modeled_allreduce_seconds counts collectives only:
+//    equal bit for bit with and without a store, at depths 0 and 2.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <functional>
+#include <new>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -34,6 +43,7 @@
 #include "data/snapshot_provider.h"
 #include "data/synthetic.h"
 #include "dist/dist_store.h"
+#include "dist/snapshot_cache.h"
 #include "tensor/tensor_ops.h"
 
 namespace pgti {
@@ -45,6 +55,134 @@ data::StandardDataset tiny_dataset() {
   SensorNetwork net = data::network_for(spec);
   Tensor raw = data::generate_signal(spec, net, /*seed=*/21);
   return data::StandardDataset(raw, spec);
+}
+
+// ------------------------------------ SnapshotCache, driven directly
+
+/// Snapshot `id` as two 2-float tensors holding +id and -id.
+std::pair<Tensor, Tensor> tiny_snapshot(std::int64_t id) {
+  const float v = static_cast<float>(id);
+  return {Tensor::full({2}, v), Tensor::full({2}, -v)};
+}
+
+std::int64_t tiny_bytes() {
+  const auto [x, y] = tiny_snapshot(0);
+  return x.storage_bytes() + y.storage_bytes();
+}
+
+/// Stages `ids` as one batch, then consumes them in order.
+void stage_and_consume(dist::SnapshotCache& cache, const std::vector<std::int64_t>& ids) {
+  cache.stage(ids, tiny_snapshot);
+  for (std::int64_t id : ids) cache.consume(id);
+}
+
+TEST(SnapshotCache, ZeroCapacityKeepsPinnedEntriesUntilConsumed) {
+  dist::SnapshotCache cache(/*max_snapshots=*/0, /*max_bytes=*/0, tiny_bytes());
+  const dist::SnapshotCache::Staged staged = cache.stage({3, 5, 7}, tiny_snapshot);
+  EXPECT_EQ(staged.hits, 0u);
+  EXPECT_EQ(staged.bytes_copied, 3u * static_cast<std::uint64_t>(tiny_bytes()));
+  EXPECT_EQ(cache.size(), 3) << "pinned entries outlive a zero bound";
+  EXPECT_EQ(cache.evictions(), 0u);
+  // An id is pinned at most once; a refused stage changes nothing.
+  EXPECT_THROW(cache.stage({5}, tiny_snapshot), std::logic_error);
+  EXPECT_THROW(cache.stage({9, 9}, tiny_snapshot), std::logic_error);
+  EXPECT_EQ(cache.size(), 3);
+  EXPECT_FALSE(cache.contains(9));
+  for (std::int64_t id : {3, 5, 7}) {
+    EXPECT_TRUE(cache.pinned(id));
+    const auto [x, y] = cache.consume(id);
+    EXPECT_FALSE(cache.contains(id)) << "evicted as soon as it is consumed";
+    EXPECT_EQ(x.at({0}), static_cast<float>(id)) << "the handles outlive the entry";
+    EXPECT_EQ(y.at({1}), -static_cast<float>(id));
+  }
+  EXPECT_EQ(cache.evictions(), 3u);
+  EXPECT_THROW(cache.consume(3), std::out_of_range);
+}
+
+TEST(SnapshotCache, EvictsResidueThenScheduledThenRetained) {
+  // Five unpinned entries, filled in the reverse of the expected
+  // eviction order, so plain LRU would pick every victim wrongly.
+  dist::SnapshotCache cache(/*max_snapshots=*/5, /*max_bytes=*/0, tiny_bytes());
+  stage_and_consume(cache, {11, 10, 21, 20, 30});
+  cache.schedule({21, 20});  // 21 is needed next, 20 after it
+  cache.retain(10, 12);
+  // Each one-snapshot stage stays pinned and needs one slot.
+  cache.stage({40}, tiny_snapshot);
+  EXPECT_FALSE(cache.contains(30)) << "residue first, though most recently used";
+  EXPECT_TRUE(cache.contains(20));
+  cache.stage({41}, tiny_snapshot);
+  EXPECT_FALSE(cache.contains(20)) << "then the farthest scheduled use";
+  EXPECT_TRUE(cache.contains(21));
+  cache.stage({42}, tiny_snapshot);
+  EXPECT_FALSE(cache.contains(21));
+  EXPECT_TRUE(cache.contains(10));
+  cache.stage({43}, tiny_snapshot);
+  EXPECT_FALSE(cache.contains(10)) << "retained entries last, lowest id first";
+  EXPECT_TRUE(cache.contains(11));
+  EXPECT_EQ(cache.evictions(), 4u);
+  EXPECT_EQ(cache.size(), 5);
+}
+
+TEST(SnapshotCache, ByteBoundEvictsByBytes) {
+  // The count bound is slack; a budget of two snapshots' bytes is not.
+  dist::SnapshotCache cache(/*max_snapshots=*/100, /*max_bytes=*/2 * tiny_bytes(),
+                            tiny_bytes());
+  stage_and_consume(cache, {1, 2});
+  EXPECT_EQ(cache.evictions(), 0u);
+  stage_and_consume(cache, {3});  // makes room for one: the LRU entry goes
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_FALSE(cache.contains(1));
+  EXPECT_TRUE(cache.contains(2));
+  EXPECT_TRUE(cache.contains(3));
+  // A pinned batch may exceed the budget; consuming it trims back.
+  cache.stage({4, 5, 6}, tiny_snapshot);
+  EXPECT_EQ(cache.size(), 3);
+  for (std::int64_t id : {4, 5, 6}) cache.consume(id);
+  EXPECT_EQ(cache.size(), 2);
+  EXPECT_TRUE(cache.contains(5));
+  EXPECT_TRUE(cache.contains(6));
+}
+
+TEST(SnapshotCache, IdScheduledTwiceKeepsItsLaterPosition) {
+  // [1, 2, 3 | 1]: this epoch's order followed by the next epoch's
+  // head.  Consuming 1 passes its first position only, so when 3 needs
+  // a slot, 1 still has a future use and 2 is residue.  Scheduled once,
+  // 1 is residue too, and LRU takes it.
+  for (const bool twice : {true, false}) {
+    dist::SnapshotCache cache(/*max_snapshots=*/2, /*max_bytes=*/0, tiny_bytes());
+    cache.schedule(twice ? std::vector<std::int64_t>{1, 2, 3, 1}
+                         : std::vector<std::int64_t>{1, 2, 3});
+    stage_and_consume(cache, {1});
+    stage_and_consume(cache, {2});
+    cache.stage({3}, tiny_snapshot);
+    EXPECT_EQ(cache.evictions(), 1u) << "twice " << twice;
+    EXPECT_EQ(cache.contains(1), twice);
+    EXPECT_EQ(cache.contains(2), !twice);
+  }
+}
+
+TEST(SnapshotCache, FailedCopyDropsTheNewPinsAndInsertsNothing) {
+  dist::SnapshotCache cache(/*max_snapshots=*/4, /*max_bytes=*/0, tiny_bytes());
+  stage_and_consume(cache, {1});
+  const auto failing = [](std::int64_t) -> std::pair<Tensor, Tensor> {
+    throw std::bad_alloc();
+  };
+  EXPECT_THROW(cache.stage({1, 2}, failing), std::bad_alloc);
+  EXPECT_FALSE(cache.pinned(1));
+  EXPECT_FALSE(cache.contains(2));
+  EXPECT_EQ(cache.stage({1, 2}, tiny_snapshot).hits, 1u) << "both may be staged again";
+}
+
+TEST(SnapshotCache, ReleasingEveryPinEnforcesTheBounds) {
+  dist::SnapshotCache cache(/*max_snapshots=*/1, /*max_bytes=*/0, tiny_bytes());
+  cache.stage({1, 2, 3}, tiny_snapshot);  // announced, never consumed
+  EXPECT_EQ(cache.size(), 3);
+  cache.release_all();
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.size(), 1);
+  EXPECT_TRUE(cache.contains(3)) << "the most recently staged entry stays";
+  EXPECT_FALSE(cache.pinned(3));
+  EXPECT_EQ(cache.stage({3}, tiny_snapshot).hits, 1u) << "unpinned, so it stages again";
 }
 
 // --------------------------------------------- pinning / tiny caches
@@ -617,6 +755,26 @@ TEST(DistPrefetch, StoreCountersRepeatAcrossRuns) {
     EXPECT_EQ(st.cache_hits, first.cache_hits) << "run " << run;
     EXPECT_EQ(st.cache_hit_bytes, first.cache_hit_bytes) << "run " << run;
     EXPECT_EQ(st.cache_evictions, first.cache_evictions) << "run " << run;
+  }
+}
+
+TEST(DistPrefetch, ModeledAllreduceSecondsCountCollectivesOnly) {
+  // Both strategies run the same collectives on the recording rank, so
+  // they report the same modeled all-reduce seconds, bit for bit, no
+  // matter what the store's fetches add to the modeled clock.
+  for (int depth : {0, 2}) {
+    core::DistConfig cfg = prefetch_dist(core::DistMode::kDistributedIndex);
+    cfg.prefetch_depth = depth;
+    const core::DistResult index = core::DistTrainer(cfg).run();
+    cfg.mode = core::DistMode::kBaselineDdp;
+    const core::DistResult baseline = core::DistTrainer(cfg).run();
+    ASSERT_GT(index.modeled_allreduce_seconds, 0.0);
+    ASSERT_GT(baseline.modeled_fetch_seconds, 0.0);
+    EXPECT_EQ(std::memcmp(&index.modeled_allreduce_seconds,
+                          &baseline.modeled_allreduce_seconds, sizeof(double)),
+              0)
+        << "depth " << depth << ": " << index.modeled_allreduce_seconds << " vs "
+        << baseline.modeled_allreduce_seconds;
   }
 }
 

@@ -410,9 +410,9 @@ TEST(ServeQueue, FailureModesAreTypedPerRequest) {
 TEST(ServeHotWindow, ReaderRankKeepsHotWindowResidentUnderPressure) {
   // Serving traffic runs through a read-only DistStore reader rank:
   // the reader owns no partition (training shards are untouched), and
-  // the engine's hot-window schedule announcements repurpose the
-  // store's schedule-aware eviction so the freshest windows survive
-  // cache pressure from stale-window requests.
+  // the engine's hot window is the reader's retained range, which its
+  // cache evicts last, so the freshest windows survive cache pressure
+  // from stale-window requests.
   Rig rig;
   rig.slot.publish(*rig.live.model, 0);
   const auto serve_ids = [&](serve::InferenceEngine& engine,
@@ -456,8 +456,8 @@ TEST(ServeHotWindow, ReaderRankKeepsHotWindowResidentUnderPressure) {
 
   // Control: the identical traffic with hot_window = 0 loses the
   // retention priority, so pressure evicts the fresh windows and the
-  // re-serve copies again — proving the zero above is the hot-window
-  // announcements and not cache capacity.
+  // re-serve copies again — proving the zero above is the retained
+  // range and not cache capacity.
   {
     data::StandardDataset dsb(rig.raw, rig.spec);
     dist::DistStore store(std::move(dsb), /*world=*/2, dist::NetworkModel{},
